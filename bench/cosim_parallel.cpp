@@ -17,10 +17,12 @@
  * degenerates to a correctness + overhead measurement (the recorded
  * hardware_concurrency says which regime produced the numbers).
  *
- * Usage: cosim_parallel [--frames N] [--ray-size W] [--json FILE]
- *                       [--trace FILE]
+ * Usage: cosim_parallel [--frames N] [--ray-size W] [--ray-prims N]
+ *                       [--json FILE] [--trace FILE]
  *                       [--hw-backend interpreted|compiled]
  *                       [--transport inthread|shm|tcp]
+ *                       [--platform FILE|PRESET]
+ * Any other argument prints this usage and exits with status 2.
  * --json emits the sweep for scripts/bench_report.py to fold into
  * BENCH_runtime.json; each workload entry carries a "metrics" object
  * (per-channel traffic of its threads=1 run under the stable
@@ -41,12 +43,12 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_flags.hpp"
 #include "common/stats.hpp"
 #include "core/domains.hpp"
 #include "obs/trace.hpp"
@@ -229,29 +231,19 @@ main(int argc, char **argv)
     std::string hw_backend = "interpreted";
     std::string transport = "inthread";
     std::string platform_arg;
-    for (int i = 1; i < argc; i++) {
-        if (std::strcmp(argv[i], "--frames") == 0 && i + 1 < argc)
-            frames = std::atoi(argv[++i]);
-        else if (std::strcmp(argv[i], "--ray-size") == 0 &&
-                 i + 1 < argc)
-            ray_size = std::atoi(argv[++i]);
-        else if (std::strcmp(argv[i], "--ray-prims") == 0 &&
-                 i + 1 < argc)
-            ray_prims = std::atoi(argv[++i]);
-        else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-            json_path = argv[++i];
-        else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc)
-            trace_path = argv[++i];
-        else if (std::strcmp(argv[i], "--hw-backend") == 0 &&
-                 i + 1 < argc)
-            hw_backend = argv[++i];
-        else if (std::strcmp(argv[i], "--transport") == 0 &&
-                 i + 1 < argc)
-            transport = argv[++i];
-        else if (std::strcmp(argv[i], "--platform") == 0 &&
-                 i + 1 < argc)
-            platform_arg = argv[++i];
-    }
+    bench::Flags("cosim_parallel")
+        .add("--frames", "N", "Vorbis frames per run", &frames)
+        .add("--ray-size", "W", "ray image width and height", &ray_size)
+        .add("--ray-prims", "N", "spheres in the ray scene", &ray_prims)
+        .add("--json", "FILE", "write the sweep as JSON", &json_path)
+        .add("--trace", "FILE", "record a Chrome trace", &trace_path)
+        .add("--hw-backend", {"interpreted", "compiled"},
+             "how hardware domains are clocked", &hw_backend)
+        .add("--transport", {"inthread", "shm", "tcp"},
+             "where hardware domains run", &transport)
+        .add("--platform", "FILE|PRESET", "platform model",
+             &platform_arg)
+        .parse(argc, argv);
     if (hw_backend == "compiled" &&
         !CompiledHwPartition::hostCompilerAvailable()) {
         std::printf("no host C++ compiler — falling back to the "

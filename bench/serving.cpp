@@ -56,12 +56,12 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_flags.hpp"
 #include "common/stats.hpp"
 #include "obs/trace.hpp"
 #include "platform/net_transport.hpp"
@@ -86,17 +86,24 @@ struct Point
     bool outputsMatch = true;
 };
 
+/** "100,1000" -> {100, 1000}; empty when any entry is not a
+ *  positive integer. */
 std::vector<int>
 parseSessionList(const char *arg)
 {
     std::vector<int> out;
     std::string s(arg);
     size_t pos = 0;
-    while (pos < s.size()) {
+    while (pos <= s.size()) {
         size_t comma = s.find(',', pos);
         if (comma == std::string::npos)
             comma = s.size();
-        out.push_back(std::atoi(s.substr(pos, comma - pos).c_str()));
+        const std::string item = s.substr(pos, comma - pos);
+        char *end = nullptr;
+        long n = std::strtol(item.c_str(), &end, 10);
+        if (item.empty() || *end != '\0' || n <= 0 || n > 1000000000)
+            return {};
+        out.push_back(static_cast<int>(n));
         pos = comma + 1;
     }
     return out;
@@ -118,34 +125,28 @@ main(int argc, char **argv)
     std::string partition;
     std::string transport = "inthread";
     std::string platform_arg;
-    for (int i = 1; i < argc; i++) {
-        if (std::strcmp(argv[i], "--sessions") == 0 && i + 1 < argc)
-            sweeps = parseSessionList(argv[++i]);
-        else if (std::strcmp(argv[i], "--frames") == 0 && i + 1 < argc)
-            frames = std::atoi(argv[++i]);
-        else if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc)
-            workers = std::atoi(argv[++i]);
-        else if (std::strcmp(argv[i], "--verify") == 0 && i + 1 < argc)
-            verify = std::atoi(argv[++i]);
-        else if (std::strcmp(argv[i], "--backend") == 0 && i + 1 < argc)
-            backend = argv[++i];
-        else if (std::strcmp(argv[i], "--hw-backend") == 0 &&
-                 i + 1 < argc)
-            hw_backend = argv[++i];
-        else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-            json_path = argv[++i];
-        else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc)
-            trace_path = argv[++i];
-        else if (std::strcmp(argv[i], "--partition") == 0 &&
-                 i + 1 < argc)
-            partition = argv[++i];
-        else if (std::strcmp(argv[i], "--transport") == 0 &&
-                 i + 1 < argc)
-            transport = argv[++i];
-        else if (std::strcmp(argv[i], "--platform") == 0 &&
-                 i + 1 < argc)
-            platform_arg = argv[++i];
-    }
+    bench::Flags("serving")
+        .add("--sessions", "N,N,...", "sweep points (sessions)",
+             [&sweeps](const char *v) {
+                 sweeps = parseSessionList(v);
+                 return !sweeps.empty();
+             })
+        .add("--frames", "N", "frames per stream", &frames)
+        .add("--workers", "W", "pool width (0 = all cores)", &workers)
+        .add("--verify", "M", "streams checked per point", &verify)
+        .add("--backend", {"compiled", "interpreted"},
+             "software backend", &backend)
+        .add("--hw-backend", {"interpreted", "compiled"},
+             "how hardware domains are clocked", &hw_backend)
+        .add("--json", "FILE", "write the sweep as JSON", &json_path)
+        .add("--trace", "FILE", "record a Chrome trace", &trace_path)
+        .add("--partition", {"F", "A", "B", "C", "D", "E"},
+             "Vorbis partition", &partition)
+        .add("--transport", {"inthread", "shm", "tcp"},
+             "where hardware domains run", &transport)
+        .add("--platform", "FILE|PRESET", "platform model",
+             &platform_arg)
+        .parse(argc, argv);
 
     // The frame-latency percentiles come from the registry histogram,
     // so metrics are always on here; the trace recorder only when a

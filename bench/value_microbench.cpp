@@ -125,7 +125,7 @@ makeDeepLetProgram(int depth)
     b.addReg("r", Type::bits(32));
     ExprPtr body = varE("x0");
     for (int i = depth - 1; i >= 0; i--) {
-        body = letE("x" + std::to_string(i),
+        body = letE(std::string("x").append(std::to_string(i)),
                     intE(32, i), body);
     }
     b.addRule("deep", regWrite("r", body));

@@ -82,7 +82,7 @@ printExpr(const ExprPtr &e)
         return e->name;
       case ExprKind::Prim: {
         if (isInfix(e->op)) {
-            return "(" + printExpr(e->args[0]) + " " +
+            return std::string("(") + printExpr(e->args[0]) + " " +
                    primOpName(e->op) + " " + printExpr(e->args[1]) +
                    ")";
         }
@@ -92,7 +92,7 @@ printExpr(const ExprPtr &e)
         std::string extra;
         if (e->op == PrimOp::MulFx || e->op == PrimOp::DivFx ||
             e->op == PrimOp::SqrtFx || e->op == PrimOp::BitRev) {
-            extra = "#" + std::to_string(e->imm);
+            extra = std::string("#") + std::to_string(e->imm);
         }
         if (e->op == PrimOp::Field || e->op == PrimOp::SetField ||
             e->op == PrimOp::MakeStruct) {
@@ -102,11 +102,11 @@ printExpr(const ExprPtr &e)
                join(parts, ", ") + ")";
       }
       case ExprKind::Cond:
-        return "(" + printExpr(e->args[0]) + " ? " +
+        return std::string("(") + printExpr(e->args[0]) + " ? " +
                printExpr(e->args[1]) + " : " + printExpr(e->args[2]) +
                ")";
       case ExprKind::When:
-        return "(" + printExpr(e->args[0]) + " when " +
+        return std::string("(") + printExpr(e->args[0]) + " when " +
                printExpr(e->args[1]) + ")";
       case ExprKind::Let:
         return "(" + e->name + " = " + printExpr(e->args[0]) + " in " +
@@ -135,19 +135,19 @@ printAction(const ActPtr &a)
         std::vector<std::string> parts;
         for (const auto &s : a->subs)
             parts.push_back(printAction(s));
-        return "(" + join(parts, " | ") + ")";
+        return std::string("(") + join(parts, " | ") + ")";
       }
       case ActKind::Seq: {
         std::vector<std::string> parts;
         for (const auto &s : a->subs)
             parts.push_back(printAction(s));
-        return "(" + join(parts, " ; ") + ")";
+        return std::string("(") + join(parts, " ; ") + ")";
       }
       case ActKind::If:
         return "(if " + printExpr(a->exprs[0]) + " then " +
                printAction(a->subs[0]) + ")";
       case ActKind::When:
-        return "(" + printAction(a->subs[0]) + " when " +
+        return std::string("(") + printAction(a->subs[0]) + " when " +
                printExpr(a->exprs[0]) + ")";
       case ActKind::Let:
         return "(" + a->name + " = " + printExpr(a->exprs[0]) +

@@ -111,7 +111,7 @@ bsvExpr(const ElabProgram &prog, const ExprPtr &e)
         }
       }
       case ExprKind::Cond:
-        return "(" + bsvExpr(prog, e->args[0]) + " ? " +
+        return std::string("(") + bsvExpr(prog, e->args[0]) + " ? " +
                bsvExpr(prog, e->args[1]) + " : " +
                bsvExpr(prog, e->args[2]) + ")";
       case ExprKind::When:

@@ -137,48 +137,50 @@ class CppGen
     {
     }
 
-    std::string
+    CppUnits
     run()
     {
-        w.writeLine("// Generated by the BCL compiler (partition). "
-                    "Do not edit.");
-        w.writeLine(std::string("// Strategy: ") + strategyName());
-        w.writeLine("#include <cstdint>");
-        w.writeLine("#include \"runtime/gen_support.hpp\"");
-        w.blank();
-        emitHelpers();
         collectTypes();
-        emitTypes();
-        w.blank();
-        w.openBlock("class " + className + " {");
-        w.writeLine("public:");
-        w.indent();
-        emitState();
-        w.blank();
-        for (size_t i = 0; i < prog.rules.size(); i++)
+        CppUnits out;
+
+        // Units first: the prelude declares small rules `inline`, so
+        // their sizes must be known before it is written. Emission
+        // order (rules, methods, schedulers, ABI) fixes the numbering
+        // of generated temporaries.
+        const size_t nrules = prog.rules.size();
+        std::vector<std::string> ruleText(nrules);
+        for (size_t i = 0; i < nrules; i++) {
             emitRule(static_cast<int>(i));
-        emitMethods();
+            ruleText[i] = take();
+        }
+        inlineRule.assign(nrules, false);
+        for (size_t i = 0; i < nrules; i++)
+            inlineRule[i] = ruleText[i].size() <= kInlineRuleBytes;
+
+        emitConstructor();
+        out.units.push_back(take());
+        for (size_t i = 0; i < nrules; i++) {
+            if (!inlineRule[i])
+                out.units.push_back(ruleText[i]);
+        }
+        for (int mid : rootActionMethods()) {
+            emitMethod(mid);
+            out.units.push_back(take());
+        }
+        std::string sched;
+        for (size_t i = 0; i < nrules; i++) {
+            if (inlineRule[i])
+                sched += ruleText[i];
+        }
         emitScheduler();
         emitHwScheduler();
-        w.blank();
-        w.writeLine("// Execution counters (exported via bcl_gen_stat).");
-        w.writeLine("std::uint64_t fired_ = 0;");
-        w.writeLine("std::uint64_t attempts_ = 0;");
-        if (hwValid) {
-            w.writeLine("// Clock-edge counters (bcl_gen_hw_stats).");
-            w.writeLine("std::uint64_t hw_cycles_ = 0;");
-            w.writeLine("std::uint64_t hw_rules_fired_ = 0;");
-            w.writeLine("std::uint64_t hw_busy_cycles_ = 0;");
-            if (!prog.rules.empty()) {
-                w.writeLine("std::uint64_t hw_fires_[" +
-                            std::to_string(prog.rules.size()) +
-                            "] = {};");
-            }
-        }
-        w.outdent();
-        w.closeBlock("};");
+        out.units.push_back(sched + take());
         emitAbi();
-        return w.str();
+        out.units.push_back(take());
+
+        emitPrelude();
+        out.prelude = take();
+        return out;
     }
 
   private:
@@ -324,50 +326,144 @@ class CppGen
         w.blank();
     }
 
-    // ----- state --------------------------------------------------------
+    // ----- prelude and state ---------------------------------------------
+    /** Rules whose definition is at most this many bytes are declared
+     *  inline and defined next to the schedulers that call them. */
+    static constexpr size_t kInlineRuleBytes = 2048;
+
+    /** The accumulated text of the current unit; starts the next. */
+    std::string
+    take()
+    {
+        std::string text = w.str();
+        w = IndentWriter();
+        return text;
+    }
+
+    /** Includes, genops, structs and the class declaration. */
     void
-    emitState()
+    emitPrelude()
+    {
+        w.writeLine("// Generated by the BCL compiler (partition). "
+                    "Do not edit.");
+        w.writeLine(std::string("// Strategy: ") + strategyName());
+        w.writeLine("#include <cstdint>");
+        w.writeLine("#include \"runtime/gen_support.hpp\"");
+        w.blank();
+        emitHelpers();
+        emitTypes();
+        w.blank();
+        // Hidden: calls between the separately compiled units bind
+        // inside the shared object, and stay inlinable within one.
+        w.writeLine("#pragma GCC visibility push(hidden)");
+        w.openBlock("class " + className + " {");
+        w.writeLine("public:");
+        w.indent();
+        w.writeLine(className + "();");
+        emitStateDecls();
+        w.writeLine("// Rules; the inline ones are defined with the "
+                    "scheduler.");
+        for (size_t i = 0; i < prog.rules.size(); i++) {
+            w.writeLine(std::string(inlineRule[i] ? "inline " : "") +
+                        "bool rule_" + ident(prog.rules[i].name) +
+                        "();");
+        }
+        for (int mid : rootActionMethods())
+            w.writeLine(methodSignature(mid, "") + ";");
+        w.writeLine("std::uint64_t run_to_quiescence();");
+        if (hwValid)
+            w.writeLine("int hw_cycle();");
+        w.blank();
+        w.writeLine("// Execution counters (exported via bcl_gen_stat).");
+        w.writeLine("std::uint64_t fired_ = 0;");
+        w.writeLine("std::uint64_t attempts_ = 0;");
+        if (hwValid) {
+            w.writeLine("// Clock-edge counters (bcl_gen_hw_stats).");
+            w.writeLine("std::uint64_t hw_cycles_ = 0;");
+            w.writeLine("std::uint64_t hw_rules_fired_ = 0;");
+            w.writeLine("std::uint64_t hw_busy_cycles_ = 0;");
+            if (!prog.rules.empty()) {
+                w.writeLine("std::uint64_t hw_fires_[" +
+                            std::to_string(prog.rules.size()) +
+                            "] = {};");
+            }
+        }
+        w.outdent();
+        w.closeBlock("};");
+        w.writeLine("#pragma GCC visibility pop");
+    }
+
+    /** The C++ type of the state member for primitive @p p ("" for
+     *  kinds with no generated state). */
+    std::string
+    stateType(const ElabPrim &p)
+    {
+        if (p.kind == "Reg")
+            return "bcl::gen::Reg<" + cppType(p.type) + ">";
+        if (isFifoKind(p.kind))
+            return "bcl::gen::Fifo<" + cppType(p.type) + ">";
+        if (p.kind == "Bram")
+            return "bcl::gen::Bram<" + cppType(p.type) + ">";
+        if (p.kind == "AudioDev") {
+            return "bcl::gen::Device<" +
+                   cppType(devicePayloadType(prog, p.id)) + ">";
+        }
+        if (p.kind == "Bitmap")
+            return "bcl::gen::Bram<std::uint32_t>";
+        return "";
+    }
+
+    void
+    emitStateDecls()
     {
         w.writeLine("// Primitive state (one member per elaborated "
                     "instance).");
         for (const auto &p : prog.prims) {
-            std::string name = ident(p.path);
-            if (p.kind == "Reg") {
-                std::string init =
-                    p.init.valid() ? typedConstText(p.type, p.init)
-                                   : "";
-                w.writeLine("bcl::gen::Reg<" + cppType(p.type) + "> " +
-                            name + "{" + init + "};");
-            } else if (isFifoKind(p.kind)) {
-                w.writeLine("bcl::gen::Fifo<" + cppType(p.type) + "> " +
-                            name + "{" + std::to_string(p.capacity) +
-                            "};");
-            } else if (p.kind == "Bram") {
-                // Initialized Brams (table ROMs) carry their contents
-                // inline: the shared object stays self-contained and
-                // matches the interpreter's initPrimState().
-                if (p.init.valid()) {
-                    std::vector<std::string> elems;
-                    for (const auto &e : p.init.elems())
-                        elems.push_back(typedConstText(p.type, e));
-                    w.writeLine("bcl::gen::Bram<" + cppType(p.type) +
-                                "> " + name + "{" +
-                                std::to_string(p.size) + ", {" +
-                                join(elems, ", ") + "}};");
-                } else {
-                    w.writeLine("bcl::gen::Bram<" + cppType(p.type) +
-                                "> " + name + "{" +
-                                std::to_string(p.size) + "};");
-                }
-            } else if (p.kind == "AudioDev") {
-                w.writeLine("bcl::gen::Device<" +
-                            cppType(devicePayloadType(prog, p.id)) +
-                            "> " + name + "{};");
-            } else if (p.kind == "Bitmap") {
-                w.writeLine("bcl::gen::Bram<std::uint32_t> " + name +
-                            "{" + std::to_string(p.size) + "};");
-            }
+            std::string type = stateType(p);
+            if (!type.empty())
+                w.writeLine(type + " " + ident(p.path) + ";");
         }
+    }
+
+    /**
+     * The constructor: every state member's initializer, in
+     * declaration order. Initialized Brams (table ROMs) carry their
+     * contents inline, so the shared object stays self-contained and
+     * matches the interpreter's initPrimState().
+     */
+    void
+    emitConstructor()
+    {
+        std::vector<std::string> inits;
+        for (const auto &p : prog.prims) {
+            if (stateType(p).empty())
+                continue;
+            std::string arg;
+            if (p.kind == "Reg") {
+                if (p.init.valid())
+                    arg = typedConstText(p.type, p.init);
+            } else if (isFifoKind(p.kind)) {
+                arg = std::to_string(p.capacity);
+            } else if (p.kind == "Bram" && p.init.valid()) {
+                std::vector<std::string> elems;
+                for (const auto &e : p.init.elems())
+                    elems.push_back(typedConstText(p.type, e));
+                arg = std::to_string(p.size) + ", {" +
+                      join(elems, ", ") + "}";
+            } else if (p.kind == "Bram" || p.kind == "Bitmap") {
+                arg = std::to_string(p.size);
+            }
+            inits.push_back(ident(p.path) + "{" + arg + "}");
+        }
+        w.writeLine(className + "::" + className + "()" +
+                    (inits.empty() ? "" : " :"));
+        w.indent();
+        for (size_t i = 0; i < inits.size(); i++)
+            w.writeLine(inits[i] + (i + 1 < inits.size() ? "," : ""));
+        w.outdent();
+        w.writeLine("{");
+        w.writeLine("}");
+        w.blank();
     }
 
     /**
@@ -787,7 +883,8 @@ class CppGen
         w.writeLine("// rule " + orig.name +
                     (in_situ ? " (guard fully lifted: no shadows)"
                              : ""));
-        w.openBlock("bool rule_" + ident(orig.name) + "() {");
+        w.openBlock("bool " + className + "::rule_" + ident(orig.name) +
+                    "() {");
         tenv.clear();
         resetNames({});
 
@@ -882,36 +979,41 @@ class CppGen
         return out;
     }
 
+    /** `bool method_<id>(params)`, qualified with @p scope. */
+    std::string
+    methodSignature(int mid, const std::string &scope)
+    {
+        std::vector<std::string> params;
+        for (const auto &p : prog.methods[mid].params)
+            params.push_back("const " + cppType(p.type) + " &" +
+                             ident(p.name));
+        return "bool " + scope + "method_" + std::to_string(mid) + "(" +
+               join(params, ", ") + ")";
+    }
+
     /**
-     * Emit root-interface action methods as transactional member
-     * functions (the "software up the stack" entry points a host
+     * Emit root-interface action method @p mid as a transactional
+     * member function (a "software up the stack" entry point a host
      * driver calls through the C ABI). Methods always keep the
      * shadow/rollback discipline — they are called per input frame,
      * far off the rule hot path, so lifting buys nothing.
      */
     void
-    emitMethods()
+    emitMethod(int mid)
     {
-        for (int mid : rootActionMethods()) {
-            const ElabMethod &m = prog.methods[mid];
-            ActPtr body = inlineActionMethods(prog, m.body);
-            body = sequentializeAction(prog, body);
+        const ElabMethod &m = prog.methods[mid];
+        ActPtr body = inlineActionMethods(prog, m.body);
+        body = sequentializeAction(prog, body);
 
-            std::vector<std::string> params;
-            for (const auto &p : m.params)
-                params.push_back("const " + cppType(p.type) + " &" +
-                                 ident(p.name));
-            w.writeLine("// method " + m.name + " (root interface)");
-            w.openBlock("bool method_" + std::to_string(mid) + "(" +
-                        join(params, ", ") + ") {");
-            tenv = m.params;
-            resetNames(m.params);
-            RWSets rw = actionRW(prog, body);
-            emitTransaction(body, rw.writes);
-            tenv.clear();
-            w.closeBlock("}");
-            w.blank();
-        }
+        w.writeLine("// method " + m.name + " (root interface)");
+        w.openBlock(methodSignature(mid, className + "::") + " {");
+        tenv = m.params;
+        resetNames(m.params);
+        RWSets rw = actionRW(prog, body);
+        emitTransaction(body, rw.writes);
+        tenv.clear();
+        w.closeBlock("}");
+        w.blank();
     }
 
     void
@@ -919,7 +1021,8 @@ class CppGen
     {
         SwSchedule sched = buildSwSchedule(prog);
         w.writeLine("// Static dataflow schedule (section 6.3).");
-        w.openBlock("std::uint64_t run_to_quiescence() {");
+        w.openBlock("std::uint64_t " + className +
+                    "::run_to_quiescence() {");
         w.writeLine("std::uint64_t fired = 0;");
         w.writeLine("bool progress = true;");
         w.openBlock("while (progress) {");
@@ -933,6 +1036,7 @@ class CppGen
         w.writeLine("fired_ += fired;");
         w.writeLine("return fired;");
         w.closeBlock("}");
+        w.blank();
     }
 
     /**
@@ -956,12 +1060,11 @@ class CppGen
         const int n = static_cast<int>(prog.rules.size());
         ConflictMatrix cm(prog);
         const int nwords = (n + 63) / 64;
-        w.blank();
         w.writeLine("// Clock edge: CAN_FIRE = transactional rule "
                     "bodies, WILL_FIRE baked");
         w.writeLine("// from the static ConflictMatrix (priority = "
                     "program order).");
-        w.openBlock("int hw_cycle() {");
+        w.openBlock("int " + className + "::hw_cycle() {");
         for (int i = 0; i < nwords; i++)
             w.writeLine("std::uint64_t wf" + std::to_string(i) +
                         "_ = 0;");
@@ -1000,6 +1103,7 @@ class CppGen
         w.writeLine("if (n_ > 0) hw_busy_cycles_++;");
         w.writeLine("return n_;");
         w.closeBlock("}");
+        w.blank();
     }
 
     // ----- marshaled C ABI -------------------------------------------------
@@ -1062,7 +1166,6 @@ class CppGen
     {
         const std::string self =
             "static_cast<" + className + " *>(p)";
-        w.blank();
         w.writeLine("// ---- C ABI (driven by runtime/gencc.hpp via "
                     "dlsym) ----");
         w.writeLine("extern \"C\" {");
@@ -1270,6 +1373,8 @@ class CppGen
     const ElabProgram &prog;
     std::string className;
     CppGenMode mode;
+    /** Per rule: declared inline and defined in the Scheduler unit. */
+    std::vector<bool> inlineRule;
     /** Partition passes validateForHardware: emit the clock-edge
      *  scheduler and real bcl_gen_hw_* entry points. */
     bool hwValid;
@@ -1329,11 +1434,29 @@ class CppGen
 } // namespace
 
 std::string
-generateCpp(const ElabProgram &prog, const std::string &class_name,
-            CppGenMode mode)
+CppUnits::str() const
+{
+    std::string out = prelude;
+    for (const std::string &u : units) {
+        out += '\n';
+        out += u;
+    }
+    return out;
+}
+
+CppUnits
+generateCppUnits(const ElabProgram &prog, const std::string &class_name,
+                 CppGenMode mode)
 {
     CppGen gen(prog, class_name, mode);
     return gen.run();
+}
+
+std::string
+generateCpp(const ElabProgram &prog, const std::string &class_name,
+            CppGenMode mode)
+{
+    return generateCppUnits(prog, class_name, mode).str();
 }
 
 TypePtr

@@ -2,7 +2,9 @@
  * @file
  * C++ code generation for software partitions (section 6 of the
  * paper). Emits one class per partition: primitive state as members,
- * rules as member functions, plus the static schedule driver. Three
+ * rules as member functions, plus the static schedule driver. The
+ * output is also available as separately compilable units
+ * (generateCppUnits) for a parallel host build. Three
  * strategies reproduce the cost spectrum of section 6.3:
  *
  *   Naive    - every rule body runs under try/catch against shadow
@@ -26,6 +28,7 @@
 #define BCL_CORE_CODEGEN_CPP_HPP
 
 #include <string>
+#include <vector>
 
 #include "core/elaborate.hpp"
 
@@ -59,6 +62,34 @@ enum class CppGenMode : std::uint8_t { Naive, Inlined, Lifted };
 std::string generateCpp(const ElabProgram &prog,
                         const std::string &class_name,
                         CppGenMode mode = CppGenMode::Lifted);
+
+/**
+ * The same partition as generateCpp(), cut along function boundaries
+ * so a host build can compile it as several translation units. The
+ * prelude (includes, genops, structs and the class declaration) heads
+ * every unit; each unit holds out-of-line definitions that depend on
+ * nothing but the prelude. In order, the units are: the constructor
+ * with its ROM/table initializers, each rule too large to inline, each
+ * root-interface action method, the Scheduler unit (the small rules,
+ * run_to_quiescence and hw_cycle), and the extern "C" ABI. Small
+ * rules are declared `inline` and defined in the Scheduler unit, the
+ * only unit that calls them, so the scheduler still inlines them. The
+ * class has hidden visibility, so calls between units bind inside the
+ * shared object.
+ */
+struct CppUnits
+{
+    std::string prelude;
+    std::vector<std::string> units;
+
+    /** The one-translation-unit form: the prelude, then every unit in
+     *  order. generateCpp() returns exactly this. */
+    std::string str() const;
+};
+
+CppUnits generateCppUnits(const ElabProgram &prog,
+                          const std::string &class_name,
+                          CppGenMode mode = CppGenMode::Lifted);
 
 /** ABI revision emitted as bcl_gen_abi_version() (bumped whenever the
  *  generated symbol contract changes incompatibly).

@@ -14,7 +14,7 @@
  *   - the CPU/FPGA clock ratio.
  *
  * Specs load from a small line-oriented key/value format
- * (configs/*.config, in the simtrax per-unit-table idiom) with
+ * (`configs/<name>.config`, in the simtrax per-unit-table idiom) with
  * line-numbered diagnostics on malformed input, or come from the
  * built-in presets:
  *

@@ -6,7 +6,8 @@
  * header. It provides:
  *
  *   - gen::Reg / gen::Fifo / gen::Bram / gen::Device: primitive state
- *     with the same guarded interfaces as the runtime primitives,
+ *     with the same guarded interfaces as the runtime primitives
+ *     (vector-backed, so each element type instantiates little),
  *   - shadow copies with commit/rollback (the change-log discipline
  *     of section 6.1),
  *   - gen::GuardFail for the try/catch strategy of Figure 9,
@@ -30,7 +31,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 namespace bcl {
@@ -59,51 +59,94 @@ class Reg
     T value;
 };
 
-/** A guarded FIFO with shadow/commit/rollback. */
+/**
+ * A guarded FIFO with shadow/commit/rollback, stored as a ring of
+ * fixed capacity (allocated once at construction). A shadow copies
+ * the live elements only: a transaction that dequeues and then
+ * enqueues reuses freed slots, so restoring head and count alone
+ * would not restore the contents.
+ */
 template <typename T>
 class Fifo
 {
   public:
-    explicit Fifo(int capacity) : cap(capacity) {}
+    explicit Fifo(int capacity)
+        : ring(static_cast<std::size_t>(capacity > 0 ? capacity : 0))
+    {
+    }
 
-    bool canEnq() const { return static_cast<int>(q.size()) < cap; }
-    bool canDeq() const { return !q.empty(); }
-    bool notEmpty() const { return !q.empty(); }
+    bool canEnq() const { return count < ring.size(); }
+    bool canDeq() const { return count != 0; }
+    bool notEmpty() const { return count != 0; }
     bool notFull() const { return canEnq(); }
-    std::size_t size() const { return q.size(); }
+    std::size_t size() const { return count; }
 
     void
     enq(const T &v)
     {
         if (!canEnq())
             throw GuardFail{};
-        q.push_back(v);
+        ring[wrap(head + count)] = v;
+        count++;
     }
 
     const T &
     first() const
     {
-        if (q.empty())
+        if (count == 0)
             throw GuardFail{};
-        return q.front();
+        return ring[head];
     }
 
     void
     deq()
     {
-        if (q.empty())
+        if (count == 0)
             throw GuardFail{};
-        q.pop_front();
+        head = wrap(head + 1);
+        count--;
     }
 
-    void clear() { q.clear(); }
+    void
+    clear()
+    {
+        head = 0;
+        count = 0;
+    }
 
-    std::deque<T> shadow() const { return q; }
-    void rollback(const std::deque<T> &shadow) { q = shadow; }
+    /** The live elements, oldest first. */
+    std::vector<T>
+    contents() const
+    {
+        std::vector<T> out;
+        out.reserve(count);
+        for (std::size_t i = 0; i < count; i++)
+            out.push_back(ring[wrap(head + i)]);
+        return out;
+    }
+
+    std::vector<T> shadow() const { return contents(); }
+
+    void
+    rollback(const std::vector<T> &shadow)
+    {
+        head = 0;
+        count = shadow.size();
+        for (std::size_t i = 0; i < count; i++)
+            ring[i] = shadow[i];
+    }
 
   private:
-    std::deque<T> q;
-    int cap;
+    /** @p i modulo the capacity, for i < 2 * capacity. */
+    std::size_t
+    wrap(std::size_t i) const
+    {
+        return i >= ring.size() ? i - ring.size() : i;
+    }
+
+    std::vector<T> ring;
+    std::size_t head = 0;   ///< slot of the oldest element
+    std::size_t count = 0;  ///< live elements
 };
 
 /** An addressable memory. */
@@ -134,25 +177,49 @@ class Bram
  * Output device sink (AudioDev / Bitmap stand-in). The host harness
  * drains outputs through the generated C ABI (popFront), so the log
  * is a queue, not an append-only vector; the cumulative output
- * history lives host-side (mirrored into the domain's Store).
+ * history lives host-side (mirrored into the domain's Store). The
+ * queue is a vector plus a read index, reset whenever it drains.
  */
 template <typename T>
 class Device
 {
   public:
     void output(const T &v) { log.push_back(v); }
-    const std::deque<T> &data() const { return log; }
-    bool empty() const { return log.empty(); }
+    bool empty() const { return head == log.size(); }
+
+    /** Undrained outputs, oldest first. */
+    std::vector<T>
+    contents() const
+    {
+        return std::vector<T>(log.begin() +
+                                  static_cast<std::ptrdiff_t>(head),
+                              log.end());
+    }
 
     /** Oldest undrained output (ABI pop; call only when !empty()). */
-    const T &front() const { return log.front(); }
-    void popFront() { log.pop_front(); }
+    const T &front() const { return log[head]; }
 
-    std::deque<T> shadow() const { return log; }
-    void rollback(const std::deque<T> &shadow) { log = shadow; }
+    void
+    popFront()
+    {
+        if (++head == log.size()) {
+            log.clear();
+            head = 0;
+        }
+    }
+
+    std::vector<T> shadow() const { return contents(); }
+
+    void
+    rollback(const std::vector<T> &shadow)
+    {
+        log = shadow;
+        head = 0;
+    }
 
   private:
-    std::deque<T> log;
+    std::vector<T> log;
+    std::size_t head = 0;  ///< index of the oldest undrained output
 };
 
 // ---------------------------------------------------------------------------

@@ -1,13 +1,18 @@
 #include "runtime/gencc.hpp"
 
 #include <dlfcn.h>
+#include <fcntl.h>
+#include <spawn.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-
-#include <chrono>
+#include <sstream>
 
 #include "common/logging.hpp"
 #include "core/typecheck.hpp"
@@ -18,12 +23,71 @@ namespace bcl {
 
 namespace {
 
-/** The compiler the harness invokes (overridable via $CXX). */
-std::string
-compilerCommand()
+/** @p s split on whitespace (no shell quoting). */
+std::vector<std::string>
+splitWords(const std::string &s)
+{
+    std::istringstream in(s);
+    std::vector<std::string> out;
+    for (std::string word; in >> word;)
+        out.push_back(word);
+    return out;
+}
+
+/** The compiler the harness invokes ($CXX split on whitespace, or
+ *  c++). */
+std::vector<std::string>
+compilerArgv()
 {
     const char *cxx = std::getenv("CXX");
-    return cxx && *cxx ? cxx : "c++";
+    std::vector<std::string> argv = splitWords(cxx ? cxx : "");
+    if (argv.empty())
+        argv.push_back("c++");
+    return argv;
+}
+
+std::string
+commandLine(const std::vector<std::string> &argv)
+{
+    std::string out;
+    for (const std::string &a : argv)
+        out += (out.empty() ? "" : " ") + a;
+    return out;
+}
+
+/**
+ * Run @p argv (argv[0] searched on PATH) with stdout and stderr
+ * written to @p log, truncated first unless @p append, and wait for
+ * it. Spawned and reaped by pid, so concurrent calls from several
+ * threads, and children other code forked, do not interfere.
+ * @return the exit status, or -1 when it did not start or was killed.
+ */
+int
+runProcess(const std::vector<std::string> &argv, const std::string &log,
+           bool append = false)
+{
+    std::vector<char *> args;
+    for (const std::string &a : argv)
+        args.push_back(const_cast<char *>(a.c_str()));
+    args.push_back(nullptr);
+    posix_spawn_file_actions_t fa;
+    posix_spawn_file_actions_init(&fa);
+    posix_spawn_file_actions_addopen(
+        &fa, STDERR_FILENO, log.c_str(),
+        O_WRONLY | O_CREAT | (append ? O_APPEND : O_TRUNC), 0644);
+    posix_spawn_file_actions_adddup2(&fa, STDERR_FILENO, STDOUT_FILENO);
+    pid_t pid = -1;
+    int rc = posix_spawnp(&pid, args[0], &fa, nullptr, args.data(),
+                          environ);
+    posix_spawn_file_actions_destroy(&fa);
+    if (rc != 0)
+        return -1;
+    int status = 0;
+    while (::waitpid(pid, &status, 0) < 0) {
+        if (errno != EINTR)
+            return -1;
+    }
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
 /** Include root holding runtime/gen_support.hpp. */
@@ -79,7 +143,218 @@ readAll(const std::string &path, size_t limit = 4000)
     return all.substr(0, limit);
 }
 
+void
+writeFile(const std::string &path, const std::string &text)
+{
+    std::ofstream out(path);
+    out << text;
+    if (!out)
+        fatal("gencc: cannot write " + path);
+}
+
+/** Fewest bytes of definitions worth a shard of their own: each
+ *  shard also parses the prelude and gen_support.hpp, which costs
+ *  about as much as compiling this much generated code. */
+constexpr std::size_t kMinShardBytes = 16 * 1024;
+
+/** Cores the host build may keep busy (at least 1). */
+unsigned
+hostCores()
+{
+    return std::max(1u, std::thread::hardware_concurrency());
+}
+
+/** One host-compiler process of a build. */
+struct CompileJob
+{
+    std::string src, out, log;
+    std::vector<std::string> argv;
+    std::int64_t bytes = 0;
+    int status = -1;
+
+    /** Compile; runs on its own thread, so nothing may escape. */
+    void
+    run()
+    {
+        obs::TraceSpan span("gencc.shard", "gencc", true, "source_bytes",
+                            bytes);
+        try {
+            status = runProcess(argv, log);
+        } catch (...) {
+            status = -1;
+        }
+    }
+};
+
+/** Link the objects of @p jobs into @p so: @p log gets the shard
+ *  logs, then the linker's own output. */
+void
+linkShards(const std::vector<CompileJob> &jobs,
+           const std::vector<std::string> &cc,
+           const std::vector<std::string> &extra, const std::string &so,
+           const std::string &log)
+{
+    std::string shardLogs;
+    for (const CompileJob &j : jobs)
+        shardLogs += readAll(j.log, std::string::npos);
+    writeFile(log, shardLogs);
+    std::vector<std::string> argv = cc;
+    argv.push_back("-shared");
+    argv.insert(argv.end(), extra.begin(), extra.end());
+    for (const CompileJob &j : jobs)
+        argv.push_back(j.out);
+    argv.insert(argv.end(), {"-o", so});
+    int status = -1;
+    {
+        obs::TraceSpan span("gencc.link", "gencc", true, "shards",
+                            static_cast<std::int64_t>(jobs.size()));
+        status = runProcess(argv, log, true);
+    }
+    if (status != 0) {
+        fatal("gencc: linking the generated partition failed:\n" +
+              readAll(log) + "\n(command: " + commandLine(argv) + ")");
+    }
+}
+
 } // namespace
+
+// ---------------------------------------------------------------------------
+// Sharded host build
+// ---------------------------------------------------------------------------
+
+std::vector<std::vector<std::size_t>>
+planShards(const CppUnits &units, unsigned max_shards)
+{
+    std::size_t total = 0;
+    for (const std::string &u : units.units)
+        total += u.size();
+    const std::size_t n = std::max<std::size_t>(
+        1, std::min({static_cast<std::size_t>(max_shards),
+                     units.units.size(), total / kMinShardBytes}));
+
+    // Largest unit first onto the least-loaded shard (LPT).
+    std::vector<std::size_t> order(units.units.size());
+    for (std::size_t i = 0; i < order.size(); i++)
+        order[i] = i;
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return units.units[a].size() >
+                                units.units[b].size();
+                     });
+    std::vector<std::vector<std::size_t>> plan(n);
+    std::vector<std::size_t> load(n, 0);
+    for (std::size_t i : order) {
+        const std::size_t s = static_cast<std::size_t>(
+            std::min_element(load.begin(), load.end()) - load.begin());
+        plan[s].push_back(i);
+        load[s] += units.units[i].size();
+    }
+    for (auto &shard : plan)
+        std::sort(shard.begin(), shard.end());
+    return plan;
+}
+
+void
+compileSharedObject(const CppUnits &units,
+                    const std::vector<std::vector<std::size_t>> &plan,
+                    const std::string &stem,
+                    const std::string &include_dir,
+                    const std::string &extra_flags)
+{
+    const std::string inc =
+        include_dir.empty() ? defaultIncludeDir() : include_dir;
+    if (inc.empty())
+        fatal("gencc: include directory for runtime/gen_support.hpp "
+              "unknown; set GenccOptions::includeDir");
+    if (plan.empty())
+        panic("gencc: empty shard plan");
+    const std::string so = stem + ".so";
+    const std::string log = stem + ".log";
+    const std::string full = units.str();
+    writeFile(stem + ".cpp", full);
+
+    // -O2: the whole point is native-speed execution; the §6.3
+    // strategies differ in what they make the optimizer's job easy
+    // on. No shell is involved, so paths need no quoting.
+    std::vector<std::string> cc = compilerArgv();
+    for (const char *f : {"-std=c++20", "-O2", "-fPIC"})
+        cc.push_back(f);
+    const std::vector<std::string> extra = splitWords(extra_flags);
+    auto compileArgv = [&](const char *mode, const CompileJob &j) {
+        std::vector<std::string> argv = cc;
+        argv.push_back(mode);
+        argv.push_back("-I" + inc);
+        argv.insert(argv.end(), extra.begin(), extra.end());
+        argv.insert(argv.end(), {j.src, "-o", j.out});
+        return argv;
+    };
+
+    // One shard: the whole source straight to the shared object.
+    std::vector<CompileJob> jobs(plan.size());
+    std::vector<std::string> sources(plan.size());
+    if (plan.size() == 1) {
+        jobs[0] = {stem + ".cpp", so, log, {},
+                   static_cast<std::int64_t>(full.size())};
+        jobs[0].argv = compileArgv("-shared", jobs[0]);
+    } else {
+        for (std::size_t i = 0; i < plan.size(); i++) {
+            const std::string base = stem + ".s" + std::to_string(i);
+            sources[i] = units.prelude;
+            for (std::size_t u : plan[i])
+                sources[i] += "\n" + units.units[u];
+            jobs[i] = {base + ".cpp", base + ".o", base + ".log", {},
+                       static_cast<std::int64_t>(sources[i].size())};
+            jobs[i].argv = compileArgv("-c", jobs[i]);
+        }
+    }
+    auto removeShards = [&] {
+        if (jobs.size() == 1)
+            return;
+        std::error_code ec;
+        for (const CompileJob &j : jobs) {
+            for (const std::string *f : {&j.src, &j.out, &j.log})
+                std::filesystem::remove(*f, ec);
+        }
+    };
+
+    try {
+        if (jobs.size() == 1) {
+            jobs[0].run();
+        } else {
+            for (std::size_t i = 0; i < jobs.size(); i++)
+                writeFile(jobs[i].src, sources[i]);
+            std::vector<std::thread> workers;
+            try {
+                for (CompileJob &j : jobs)
+                    workers.emplace_back(&CompileJob::run, &j);
+            } catch (...) {
+                for (std::thread &t : workers)
+                    t.join();
+                throw;
+            }
+            for (std::thread &t : workers)
+                t.join();
+        }
+        for (std::size_t i = 0; i < jobs.size(); i++) {
+            if (jobs[i].status == 0)
+                continue;
+            std::string msg =
+                "gencc: generated partition failed to compile";
+            if (jobs.size() > 1) {
+                msg += " (shard " + std::to_string(i) + " of " +
+                       std::to_string(jobs.size()) + ")";
+            }
+            fatal(msg + ":\n" + readAll(jobs[i].log) +
+                  "\n(command: " + commandLine(jobs[i].argv) + ")");
+        }
+        if (jobs.size() > 1)
+            linkShards(jobs, cc, extra, so, log);
+    } catch (...) {
+        removeShards();
+        throw;
+    }
+    removeShards();
+}
 
 // ---------------------------------------------------------------------------
 // CompiledArtifact — the compile/dlopen half, shared across instances
@@ -89,9 +364,9 @@ bool
 CompiledArtifact::hostCompilerAvailable()
 {
     static const bool available = [] {
-        std::string cmd =
-            compilerCommand() + " --version > /dev/null 2>&1";
-        return std::system(cmd.c_str()) == 0;
+        std::vector<std::string> argv = compilerArgv();
+        argv.push_back("--version");
+        return runProcess(argv, "/dev/null") == 0;
     }();
     return available;
 }
@@ -100,89 +375,53 @@ CompiledArtifact::CompiledArtifact(const ElabProgram &prog,
                                    GenccOptions opts)
     : prog_(prog), opts_(std::move(opts))
 {
-    const bool reuse = !opts_.reuseSoPath.empty();
-    if (!reuse && !hostCompilerAvailable())
-        fatal("gencc: no host C++ compiler ('" + compilerCommand() +
-              "') — guard call sites with hostCompilerAvailable()");
-
-    if (reuse) {
+    if (!opts_.reuseSoPath.empty()) {
         // Adopt an existing shared object (CompileCache disk hit).
         // No files are emitted, so destruction removes nothing.
         dir_ = std::filesystem::path(opts_.reuseSoPath)
                    .parent_path()
                    .string();
         load(opts_.reuseSoPath);
-    } else {
-        std::string inc = opts_.includeDir.empty()
-                              ? defaultIncludeDir()
-                              : opts_.includeDir;
-        if (inc.empty())
-            fatal("gencc: include directory for "
-                  "runtime/gen_support.hpp unknown; set "
-                  "GenccOptions::includeDir");
-        // The compile line runs through the shell; double quotes
-        // handle spaces, but quote/expansion metacharacters in a path
-        // would still break out — refuse them rather than misparse.
-        auto rejectMeta = [](const std::string &what,
-                             const std::string &s) {
-            if (s.find_first_of("\"$`\\") != std::string::npos)
-                fatal("gencc: " + what +
-                      " contains shell metacharacters: " + s);
-        };
-        rejectMeta("include directory", inc);
+        return;
+    }
+    if (!hostCompilerAvailable())
+        fatal("gencc: no host C++ compiler ('" +
+              commandLine(compilerArgv()) +
+              "') — guard call sites with hostCompilerAvailable()");
 
-        source_ = generateCpp(prog_, "BclGenPartition", opts_.mode);
-        ownDir_ = opts_.workDir.empty();
-        dir_ = ownDir_ ? makeWorkDir() : opts_.workDir;
-        rejectMeta("scratch directory", dir_);  // covers $TMPDIR too
+    const CppUnits units =
+        generateCppUnits(prog_, "BclGenPartition", opts_.mode);
+    source_ = units.str();
+    ownDir_ = opts_.workDir.empty();
+    dir_ = ownDir_ ? makeWorkDir() : opts_.workDir;
+    const std::string stem =
+        dir_ + "/" +
+        (opts_.fileStem.empty() ? uniqueStem() : opts_.fileStem);
+    files_ = {stem + ".cpp", stem + ".so", stem + ".log"};
+    try {
         std::filesystem::create_directories(dir_);
-
-        const std::string stem =
-            dir_ + "/" +
-            (opts_.fileStem.empty() ? uniqueStem() : opts_.fileStem);
-        std::string cpp = stem + ".cpp";
-        std::string so = stem + ".so";
-        std::string log = stem + ".log";
-        files_ = {cpp, so, log};
-        {
-            std::ofstream out(cpp);
-            out << source_;
-            if (!out)
-                fatal("gencc: cannot write " + cpp);
-        }
-
-        // -O2: the whole point is native-speed execution; the §6.3
-        // strategies differ in what they make the optimizer's job
-        // easy on. Paths are quoted — source trees and TMPDIRs with
-        // spaces must not split the shell command.
-        std::string cmd =
-            compilerCommand() + " -std=c++20 -O2 -fPIC -shared -I\"" +
-            inc + "\" " +
-            (opts_.extraFlags.empty() ? "" : opts_.extraFlags + " ") +
-            "\"" + cpp + "\" -o \"" + so + "\" 2> \"" + log + "\"";
-        {
-            // Host-compiler invocations dominate cold-start serving
-            // latency; the span + histogram make them visible next to
-            // the cache hits they should be.
-            obs::TraceSpan span(
-                "gencc.compile", "gencc", true, "source_bytes",
-                static_cast<std::int64_t>(source_.size()));
-            auto t0 = std::chrono::steady_clock::now();
-            if (std::system(cmd.c_str()) != 0) {
-                fatal("gencc: generated partition failed to "
-                      "compile:\n" +
-                      readAll(log) + "\n(command: " + cmd + ")");
-            }
-            obs::metrics().counter("gencc.compiles").add(1);
-            obs::metrics()
-                .histogram("gencc.compile_ms",
-                           obs::Histogram::exponentialBounds(1.0, 2.0,
-                                                             16))
-                .observe(std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - t0)
-                             .count());
-        }
-        load(so);
+        const auto plan = planShards(units, hostCores());
+        // Host-compiler invocations dominate cold-start serving
+        // latency; the span + histogram make them visible next to
+        // the cache hits they should be. One span and one count per
+        // artifact, however many shards it compiles as.
+        obs::TraceSpan span("gencc.compile", "gencc", true, "shards",
+                            static_cast<std::int64_t>(plan.size()));
+        auto t0 = std::chrono::steady_clock::now();
+        compileSharedObject(units, plan, stem, opts_.includeDir,
+                            opts_.extraFlags);
+        obs::metrics().counter("gencc.compiles").add(1);
+        obs::metrics()
+            .histogram("gencc.compile_ms",
+                       obs::Histogram::exponentialBounds(1.0, 2.0, 16))
+            .observe(std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count());
+        load(files_[1]);
+    } catch (...) {
+        // The destructor will not run: clean up here.
+        removeEmitted();
+        throw;
     }
 }
 
@@ -193,7 +432,13 @@ CompiledArtifact::load(const std::string &so_path)
     dl_ = dlopen(so_path.c_str(), RTLD_NOW | RTLD_LOCAL);
     if (!dl_)
         fatal(std::string("gencc: dlopen failed: ") + dlerror());
-    resolveAbi();
+    try {
+        resolveAbi();
+    } catch (...) {
+        dlclose(dl_);
+        dl_ = nullptr;
+        throw;
+    }
 }
 
 void
@@ -275,6 +520,12 @@ CompiledArtifact::~CompiledArtifact()
 {
     if (dl_)
         dlclose(dl_);
+    removeEmitted();
+}
+
+void
+CompiledArtifact::removeEmitted()
+{
     if (opts_.keepArtifacts)
         return;
     std::error_code ec;

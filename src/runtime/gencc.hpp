@@ -2,9 +2,9 @@
  * @file
  * Compiled-execution backend for software partitions (section 6 of
  * the paper made real): take a single-domain ElabProgram, run it
- * through generateCpp(), hand the translation unit to the host C++
- * compiler as a shared object, dlopen it, and drive it through the
- * generated `bcl_gen_*` C ABI.
+ * through generateCppUnits(), compile the units on the host C++
+ * compiler as parallel shards linked into one shared object, dlopen
+ * it, and drive it through the generated `bcl_gen_*` C ABI.
  *
  * This is the missing half of the paper's claim that software
  * partitions are *compiled* — rules become member functions with
@@ -22,7 +22,10 @@
  * The backend is split along the paper's own artifact/instance line:
  *
  *   CompiledArtifact  - generate + compile + dlopen, ONCE per distinct
- *                       generated source. Immutable after
+ *                       generated source. The compile is always a full
+ *                       cold build of every unit, spread over up to
+ *                       hardware_concurrency() host-compiler
+ *                       processes (planShards). Immutable after
  *                       construction and safe to share across threads;
  *                       it owns the dl handle, the resolved ABI entry
  *                       points and a private copy of the ElabProgram
@@ -88,7 +91,8 @@ struct GenccOptions
      *  this artifact's files, never the directory. */
     std::string workDir;
 
-    /** Keep the generated .cpp/.so/compile log on destruction. */
+    /** Keep the generated .cpp/.so/compile log on destruction (and
+     *  when the compile fails). */
     bool keepArtifacts = false;
 
     /**
@@ -97,11 +101,13 @@ struct GenccOptions
      */
     std::string includeDir;
 
-    /** Extra flags appended to the compile command (e.g. "-O0 -g"). */
+    /** Extra flags appended to every compile and link command,
+     *  separated by whitespace (e.g. "-O0 -g"; no shell quoting). */
     std::string extraFlags;
 
     /**
-     * File stem for the emitted .cpp/.so/.log inside workDir; ""
+     * File stem for the emitted .cpp/.so/.log inside workDir (shard
+     * intermediates add .s<N>.cpp/.o/.log while compiling); ""
      * picks a unique pid+counter stem. A caller that sets this owns
      * the uniqueness guarantee (the CompileCache uses the source
      * hash and serializes compiles per key, so its stems never
@@ -118,6 +124,34 @@ struct GenccOptions
      */
     std::string reuseSoPath;
 };
+
+/**
+ * Group @p units into at most @p max_shards compile jobs, balanced by
+ * size: largest unit first onto the least-loaded job. A job gets at
+ * least 16 KB of definitions, so a small partition gets fewer jobs,
+ * down to one, which compiles as the single translation unit. Each
+ * job lists unit indices in unit order.
+ */
+std::vector<std::vector<std::size_t>> planShards(const CppUnits &units,
+                                                 unsigned max_shards);
+
+/**
+ * Host-compile @p units into the shared object `<stem>.so`: each job
+ * of @p plan is the prelude plus its units, compiled concurrently
+ * with `-std=c++20 -O2 -fPIC` (+ @p extra_flags) by its own
+ * host-compiler process, then linked. A one-job plan compiles the
+ * whole source straight to the shared object. Leaves `<stem>.cpp`
+ * (the whole source), `<stem>.so` and `<stem>.log`; the shard
+ * intermediates are removed whether or not the build succeeds.
+ * @p include_dir "" means the source tree this library was built
+ * from. Throws FatalError with the log and command line of the
+ * first failing job.
+ */
+void compileSharedObject(const CppUnits &units,
+                         const std::vector<std::vector<std::size_t>> &plan,
+                         const std::string &stem,
+                         const std::string &include_dir,
+                         const std::string &extra_flags);
 
 /**
  * One generated software partition compiled to a shared object and
@@ -167,6 +201,8 @@ class CompiledArtifact
 
     void load(const std::string &so_path);
     void resolveAbi();
+    /** Delete what this artifact emitted (unless keepArtifacts). */
+    void removeEmitted();
 
     ElabProgram prog_;  ///< private copy: lifetime self-contained
     GenccOptions opts_;

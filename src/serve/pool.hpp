@@ -128,7 +128,7 @@ struct SessionManagerOptions
 
     /**
      * Platform model for every session this manager creates: a
-     * preset name ("ml507", "pcie") or a configs/*.config path,
+     * preset name ("ml507", "pcie") or a `configs/<name>.config` path,
      * resolved ONCE at manager construction (a malformed config
      * fails fast, not per session) and stamped into each created
      * session's CosimConfig::platform. Empty = leave per-session

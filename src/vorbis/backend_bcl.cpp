@@ -253,7 +253,7 @@ makeVorbisProgram(const VorbisConfig &cfg)
         for (int n = 0; n < kIfftSize; n++) {
             int src = t.invPerm[n];
             std::string pn = "po" + std::to_string(n);
-            std::string yn = "y" + std::to_string(n);
+            std::string yn = std::string("y").append(std::to_string(n));
             binds.emplace_back(pn,
                                callV("postT", "read", {intE(32, n)}));
             binds.emplace_back(yn, idx(varE("yv"), src));

@@ -157,7 +157,7 @@ stageExpr(int s, const std::string &in_name)
     std::vector<std::pair<std::string, ExprPtr>> binds;
     std::vector<ExprPtr> out(kIfftSize);
     ExprPtr in = varE(in_name);
-    std::string pfx = "s" + std::to_string(s) + "_";
+    std::string pfx = std::string("s") + std::to_string(s) + "_";
 
     for (int bf = 0; bf < kButterflies; bf++) {
         const Tables::Lane &lane = t.lanes[s * kButterflies + bf];

@@ -12,6 +12,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -19,6 +23,7 @@
 #include <vector>
 
 #include "common/logging.hpp"
+#include "common/strutil.hpp"
 #include "core/builder.hpp"
 #include "core/domains.hpp"
 #include "core/elaborate.hpp"
@@ -30,7 +35,9 @@
 #include "runtime/gencc.hpp"
 #include "serve/compile_cache.hpp"
 #include "vorbis/backend_bcl.hpp"
+#include "vorbis/ifft_bcl.hpp"
 #include "vorbis/partitions.hpp"
+#include "vorbis/tables.hpp"
 
 namespace bcl {
 namespace {
@@ -558,6 +565,209 @@ TEST(CodegenExecCosim, VorbisPartitionDCompiledMatchesInterpreted)
     EXPECT_EQ(cr.pcm, ir.pcm);
     EXPECT_EQ(cr.swRulesFired, ir.swRulesFired);
     EXPECT_EQ(cr.messages, ir.messages);
+}
+
+// ---------------------------------------------------------------------------
+// Sharded host builds: one partition compiled as several translation
+// units must behave exactly like the same source compiled as one.
+// ---------------------------------------------------------------------------
+
+namespace fs = std::filesystem;
+
+/** A fresh empty scratch directory for one test. */
+fs::path
+scratchDir(const std::string &tag)
+{
+    fs::path dir = fs::temp_directory_path() /
+                   ("bcl_shard_test_" + std::to_string(::getpid()) +
+                    "_" + tag);
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    return dir;
+}
+
+/** Files in @p dir (names only, sorted). */
+std::vector<std::string>
+filesIn(const fs::path &dir)
+{
+    std::vector<std::string> out;
+    for (const auto &e : fs::directory_iterator(dir))
+        out.push_back(e.path().filename().string());
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
+/** The full-SW Vorbis partition (partition F). */
+PartitionResult
+vorbisFullSwParts()
+{
+    using namespace vorbis;
+    Program prog =
+        makeVorbisProgram(partitionConfig(VorbisPartition::F));
+    ElabProgram elab = elaborate(prog);
+    typecheck(elab);
+    return partitionProgram(elab, inferDomains(elab));
+}
+
+/** @p prog built as at most @p max_shards shards under @p dir/@p stem,
+ *  then loaded. */
+std::shared_ptr<const CompiledArtifact>
+buildWithPlan(const ElabProgram &prog, const fs::path &dir,
+              const std::string &stem, unsigned max_shards)
+{
+    CppUnits units = generateCppUnits(prog, "BclGenPartition");
+    compileSharedObject(units, planShards(units, max_shards),
+                        (dir / stem).string(), "", "");
+    GenccOptions reuse;
+    reuse.reuseSoPath = (dir / (stem + ".so")).string();
+    return std::make_shared<const CompiledArtifact>(prog, reuse);
+}
+
+struct VorbisDrive
+{
+    std::vector<std::int32_t> pcm;
+    std::uint64_t fired = 0, attempted = 0;
+};
+
+/** Feed @p frames seeded frames through a compiled full-SW decoder. */
+VorbisDrive
+driveVorbis(std::shared_ptr<const CompiledArtifact> artifact, int frames)
+{
+    using namespace vorbis;
+    CompiledPartition cp(std::move(artifact));
+    const ElabProgram &sw = cp.program();
+    const int push = sw.rootMethod("input");
+    const int audio = sw.primByPath("audio");
+    VorbisDrive out;
+    auto drain = [&] {
+        Value v;
+        while (cp.popDevice(audio, v)) {
+            for (const auto &s : v.elems())
+                out.pcm.push_back(static_cast<std::int32_t>(s.asInt()));
+        }
+    };
+    for (const auto &frame : makeFrames(frames)) {
+        std::vector<Value> elems;
+        for (Fix32 s : frame)
+            elems.push_back(fixValue(s));
+        const Value fv = Value::makeVec(std::move(elems));
+        while (true) {
+            cp.runToQuiescence();
+            drain();
+            if (cp.callActionMethod(push, {fv}))
+                break;
+        }
+    }
+    cp.runToQuiescence();
+    drain();
+    out.fired = cp.rulesFired();
+    out.attempted = cp.rulesAttempted();
+    return out;
+}
+
+TEST(CodegenExecShards, PlanCoversEveryUnitOnceAndKeepsSmallPartsWhole)
+{
+    PartitionResult parts = vorbisFullSwParts();
+    CppUnits units = generateCppUnits(parts.part("SW").prog, "P");
+    EXPECT_EQ(units.str(), generateCpp(parts.part("SW").prog, "P"));
+    for (unsigned max : {1u, 2u, 4u, 64u}) {
+        auto plan = planShards(units, max);
+        ASSERT_GE(plan.size(), 1u);
+        EXPECT_LE(plan.size(), std::min<size_t>(max, units.units.size()));
+        std::vector<size_t> seen;
+        for (const auto &shard : plan) {
+            EXPECT_FALSE(shard.empty());
+            EXPECT_TRUE(std::is_sorted(shard.begin(), shard.end()));
+            seen.insert(seen.end(), shard.begin(), shard.end());
+        }
+        std::sort(seen.begin(), seen.end());
+        ASSERT_EQ(seen.size(), units.units.size()) << "max " << max;
+        for (size_t i = 0; i < seen.size(); i++)
+            EXPECT_EQ(seen[i], i);
+    }
+    EXPECT_EQ(planShards(units, 4).size(), 4u);
+
+    // The counter's SW partition is far below one shard's worth.
+    CppUnits small = generateCppUnits(counterParts().part("SW").prog, "P");
+    EXPECT_EQ(planShards(small, 4).size(), 1u);
+}
+
+/**
+ * Full-SW Vorbis compiled as one translation unit and as four shards:
+ * PCM, rules fired and rules attempted must be identical.
+ */
+TEST(CodegenExecShards, FullSwVorbisShardedMatchesSingleUnit)
+{
+    REQUIRE_HOST_COMPILER();
+    PartitionResult parts = vorbisFullSwParts();
+    const ElabProgram &sw = parts.part("SW").prog;
+    fs::path dir = scratchDir("vorbis");
+    const VorbisDrive one = driveVorbis(buildWithPlan(sw, dir, "one", 1), 8);
+    const VorbisDrive four =
+        driveVorbis(buildWithPlan(sw, dir, "four", 4), 8);
+    ASSERT_FALSE(one.pcm.empty());
+    EXPECT_EQ(four.pcm, one.pcm);
+    EXPECT_EQ(four.fired, one.fired);
+    EXPECT_EQ(four.attempted, one.attempted);
+    // Only the whole source, object and log of each build remain.
+    EXPECT_EQ(filesIn(dir),
+              (std::vector<std::string>{"four.cpp", "four.log", "four.so",
+                                        "one.cpp", "one.log", "one.so"}));
+    fs::remove_all(dir);
+}
+
+/**
+ * A flag that breaks only the ABI unit: the build fails with one
+ * FatalError carrying the failing job's log and command line, and
+ * leaves nothing behind in a shared scratch directory.
+ */
+TEST(CodegenExecShards, FailingShardRaisesOneErrorWithItsLogAndCommand)
+{
+    REQUIRE_HOST_COMPILER();
+    PartitionResult parts = vorbisFullSwParts();
+    fs::path dir = scratchDir("fail");
+    GenccOptions opts;
+    opts.workDir = dir.string();
+    opts.extraFlags = "-Dbcl_gen_payload_words=@";
+    try {
+        CompiledArtifact art(parts.part("SW").prog, opts);
+        FAIL() << "the bad flag must break the build";
+    } catch (const FatalError &e) {
+        const std::string msg = e.what();
+        EXPECT_TRUE(containsString(msg, "failed to compile")) << msg;
+        EXPECT_TRUE(containsString(msg, "error")) << msg;
+        EXPECT_TRUE(containsString(msg, "(command: ")) << msg;
+        EXPECT_TRUE(containsString(msg, "-Dbcl_gen_payload_words=@"))
+            << msg;
+        EXPECT_EQ(countOccurrences(msg, "(command: "), 1) << msg;
+    }
+    EXPECT_TRUE(filesIn(dir).empty());
+    fs::remove_all(dir);
+}
+
+/** Destroying a sharded artifact removes everything it emitted, in a
+ *  shared directory and in its own one. */
+TEST(CodegenExecShards, DestroyRemovesEveryEmittedFile)
+{
+    REQUIRE_HOST_COMPILER();
+    PartitionResult parts = vorbisFullSwParts();
+    const ElabProgram &sw = parts.part("SW").prog;
+
+    fs::path dir = scratchDir("destroy");
+    GenccOptions shared;
+    shared.workDir = dir.string();
+    auto art = std::make_shared<const CompiledArtifact>(sw, shared);
+    EXPECT_EQ(filesIn(dir).size(), 3u) << "the .cpp, .so and .log";
+    EXPECT_FALSE(driveVorbis(art, 2).pcm.empty());
+    art.reset();
+    EXPECT_TRUE(filesIn(dir).empty());
+    fs::remove_all(dir);
+
+    art = std::make_shared<const CompiledArtifact>(sw, GenccOptions{});
+    const fs::path own = art->artifactDir();
+    EXPECT_EQ(filesIn(own).size(), 3u);
+    art.reset();
+    EXPECT_FALSE(fs::exists(own));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, CodegenExec,

@@ -18,6 +18,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -32,8 +35,12 @@
 #include "core/typecheck.hpp"
 #include "hwsim/clocksim.hpp"
 #include "hwsim/compiled_hw.hpp"
+#include "platform/channel.hpp"
 #include "platform/cosim.hpp"
+#include "ray/bvh.hpp"
 #include "ray/partitions.hpp"
+#include "ray/scenegen.hpp"
+#include "ray/trace_bcl.hpp"
 #include "vorbis/ifft_bcl.hpp"
 #include "vorbis/partitions.hpp"
 
@@ -471,6 +478,100 @@ TEST(CodegenHw, RayFullHwCosimMatchesInterpreted)
     EXPECT_EQ(got.hwRuleFires, ref.hwRuleFires);
     EXPECT_EQ(got.fpgaCycles, ref.fpgaCycles);
     EXPECT_EQ(got.messages, ref.messages);
+}
+
+/**
+ * The ray split partitioning (SW + HWT/HWX/HWG) with every hardware
+ * domain on the compiled clock edge, its artifacts compiled once as
+ * one translation unit each and once with every generated unit in its
+ * own shard: pixels, cycles, messages and every domain's per-rule
+ * fire counts must be identical.
+ */
+TEST(CodegenHw, RaySplitShardedMatchesSingleUnit)
+{
+    REQUIRE_HOST_COMPILER();
+    namespace fs = std::filesystem;
+    const int w = 6, h = 6, prims = 32;
+    const ray::RayConfig rcfg = ray::splitRayConfig(w, h);
+    std::vector<ray::Sphere> scene = ray::makeScene(prims);
+    Program prog = ray::makeRayProgram(rcfg, scene, ray::buildBvh(scene),
+                                       ray::makeCamera());
+    ElabProgram elab = elaborate(prog);
+    PartitionResult parts = partitionProgram(elab, inferDomains(elab));
+    const fs::path dir = fs::temp_directory_path() /
+                         ("bcl_shard_hw_" + std::to_string(::getpid()));
+    fs::create_directories(dir);
+
+    struct Run
+    {
+        std::vector<std::uint32_t> pixels;
+        std::uint64_t cycles = 0, messages = 0;
+        std::vector<std::vector<std::uint64_t>> perRule;
+        std::vector<std::uint64_t> hwCycles, hwFired;
+        int jobs = 0;
+    };
+    auto run = [&](bool per_unit) {
+        Run r;
+        int n = 0;
+        CosimConfig cfg;
+        cfg.hwBackend = HwBackend::Compiled;
+        cfg.compileProvider = [&](const ElabProgram &p,
+                                  const GenccOptions &o) {
+            CppUnits units = generateCppUnits(p, "BclGenPartition", o.mode);
+            std::vector<std::vector<size_t>> plan(1);
+            for (size_t i = 0; i < units.units.size(); i++) {
+                if (per_unit)
+                    plan.push_back({i});
+                else
+                    plan[0].push_back(i);
+            }
+            if (per_unit)
+                plan.erase(plan.begin());
+            r.jobs += static_cast<int>(plan.size());
+            const std::string stem =
+                (dir / ((per_unit ? "unit" : "one") + std::to_string(n++)))
+                    .string();
+            compileSharedObject(units, plan, stem, "", o.extraFlags);
+            GenccOptions reuse = o;
+            reuse.reuseSoPath = stem + ".so";
+            return std::make_shared<const CompiledArtifact>(p, reuse);
+        };
+        CoSim cosim(parts, cfg);
+        const ElabProgram &sw = parts.part("SW").prog;
+        const int done = sw.primByPath("doneCnt");
+        const int fb = sw.primByPath("fb");
+        r.cycles = cosim.run([&](CoSim &cs) {
+            return cs.storeOf("SW").at(done).val.asUInt() ==
+                   static_cast<std::uint64_t>(w * h);
+        });
+        for (const Value &px : cosim.storeOf("SW").at(fb).val.elems())
+            r.pixels.push_back(static_cast<std::uint32_t>(px.asUInt()));
+        for (const char *d : {"HWT", "HWX", "HWG"}) {
+            const HwStats *st = cosim.hwStats(d);
+            EXPECT_NE(st, nullptr) << d;
+            if (!st)
+                continue;
+            r.perRule.push_back(st->perRuleFires);
+            r.hwCycles.push_back(st->cycles);
+            r.hwFired.push_back(st->rulesFired);
+        }
+        for (const auto &chan : cosim.channels())
+            r.messages += chan->stats().messages;
+        return r;
+    };
+    const Run one = run(false);
+    const Run sharded = run(true);
+    fs::remove_all(dir);
+
+    EXPECT_EQ(one.jobs, 3);
+    EXPECT_GT(sharded.jobs, 3) << "every domain split into its units";
+    ASSERT_EQ(one.pixels.size(), static_cast<size_t>(w * h));
+    EXPECT_EQ(sharded.pixels, one.pixels);
+    EXPECT_EQ(sharded.cycles, one.cycles);
+    EXPECT_EQ(sharded.messages, one.messages);
+    EXPECT_EQ(sharded.perRule, one.perRule);
+    EXPECT_EQ(sharded.hwCycles, one.hwCycles);
+    EXPECT_EQ(sharded.hwFired, one.hwFired);
 }
 
 } // namespace

@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -57,60 +58,94 @@ TEST(GenSupportProperty, RegShadowCommitRollback)
     }
 }
 
+/** Fifo contents as a vector, for comparison with the models. */
+template <typename T>
+std::vector<T>
+asVector(const std::deque<T> &q)
+{
+    return std::vector<T>(q.begin(), q.end());
+}
+
 TEST(GenSupportProperty, FifoShadowCommitRollbackAndGuards)
 {
-    Rng rng(0xF1F0u);
-    const int cap = 4;
-    gen::Fifo<std::int32_t> fifo{cap};
-    std::deque<std::int32_t> model;
+    // Capacities 1 and 2 wrap the ring on almost every operation.
+    for (const int cap : {1, 2, 4}) {
+        SCOPED_TRACE("capacity " + std::to_string(cap));
+        Rng rng(0xF1F0u + static_cast<std::uint64_t>(cap));
+        gen::Fifo<std::int32_t> fifo{cap};
+        std::deque<std::int32_t> model;
 
-    for (int iter = 0; iter < kIterations; iter++) {
-        auto shadow = fifo.shadow();
-        std::deque<std::int32_t> before = model;
-        int ops = static_cast<int>(rng.below(5)) + 1;
-        for (int i = 0; i < ops; i++) {
-            ASSERT_EQ(fifo.canEnq(),
-                      static_cast<int>(model.size()) < cap);
-            ASSERT_EQ(fifo.canDeq(), !model.empty());
-            ASSERT_EQ(fifo.notEmpty(), !model.empty());
-            ASSERT_EQ(fifo.notFull(),
-                      static_cast<int>(model.size()) < cap);
-            switch (rng.below(3)) {
-              case 0: {
-                auto v = static_cast<std::int32_t>(
-                    rng.range(-1000, 1000));
-                if (static_cast<int>(model.size()) < cap) {
-                    fifo.enq(v);
-                    model.push_back(v);
-                } else {
-                    // Full: enq must throw and change nothing.
-                    EXPECT_THROW(fifo.enq(v), gen::GuardFail);
+        for (int iter = 0; iter < kIterations; iter++) {
+            auto shadow = fifo.shadow();
+            std::deque<std::int32_t> before = model;
+            int ops = static_cast<int>(rng.below(5)) + 1;
+            for (int i = 0; i < ops; i++) {
+                ASSERT_EQ(fifo.canEnq(),
+                          static_cast<int>(model.size()) < cap);
+                ASSERT_EQ(fifo.canDeq(), !model.empty());
+                ASSERT_EQ(fifo.notEmpty(), !model.empty());
+                ASSERT_EQ(fifo.notFull(),
+                          static_cast<int>(model.size()) < cap);
+                switch (rng.below(3)) {
+                  case 0: {
+                    auto v = static_cast<std::int32_t>(
+                        rng.range(-1000, 1000));
+                    if (static_cast<int>(model.size()) < cap) {
+                        fifo.enq(v);
+                        model.push_back(v);
+                    } else {
+                        // Full: enq must throw and change nothing.
+                        EXPECT_THROW(fifo.enq(v), gen::GuardFail);
+                    }
+                    break;
+                  }
+                  case 1:
+                    if (!model.empty()) {
+                        ASSERT_EQ(fifo.first(), model.front());
+                        fifo.deq();
+                        model.pop_front();
+                    } else {
+                        EXPECT_THROW({ fifo.first(); }, gen::GuardFail);
+                        EXPECT_THROW(fifo.deq(), gen::GuardFail);
+                    }
+                    break;
+                  case 2:
+                    if (!model.empty()) {
+                        ASSERT_EQ(fifo.first(), model.front());
+                    }
+                    break;
                 }
-                break;
-              }
-              case 1:
-                if (!model.empty()) {
-                    ASSERT_EQ(fifo.first(), model.front());
-                    fifo.deq();
-                    model.pop_front();
-                } else {
-                    EXPECT_THROW({ fifo.first(); }, gen::GuardFail);
-                    EXPECT_THROW(fifo.deq(), gen::GuardFail);
-                }
-                break;
-              case 2:
-                if (!model.empty()) {
-                    ASSERT_EQ(fifo.first(), model.front());
-                }
-                break;
             }
+            if (rng.chance(0.4)) {
+                fifo.rollback(shadow);
+                model = before;
+            }
+            ASSERT_EQ(fifo.size(), model.size());
+            ASSERT_EQ(fifo.contents(), asVector(model));
         }
-        if (rng.chance(0.4)) {
-            fifo.rollback(shadow);
-            model = before;
-        }
-        ASSERT_EQ(fifo.shadow(), model);
     }
+
+    // A shadow taken before the ring wraps, rolled back after the
+    // transaction dequeued and re-filled the slots the shadow still
+    // names: the rollback must restore the old values, not the new.
+    gen::Fifo<std::int32_t> fifo{3};
+    fifo.enq(1);
+    fifo.enq(2);
+    fifo.deq();
+    fifo.enq(3);  // head at slot 1: live {2, 3}, tail at slot 0
+    auto shadow = fifo.shadow();
+    fifo.deq();
+    fifo.deq();
+    fifo.enq(4);  // slot 0
+    fifo.enq(5);  // slot 1, where 2 lived
+    fifo.enq(6);  // slot 2, where 3 lived
+    EXPECT_EQ(fifo.contents(), (std::vector<std::int32_t>{4, 5, 6}));
+    fifo.rollback(shadow);
+    EXPECT_EQ(fifo.contents(), (std::vector<std::int32_t>{2, 3}));
+    EXPECT_EQ(fifo.first(), 2);
+    fifo.enq(7);
+    EXPECT_FALSE(fifo.canEnq());
+    EXPECT_EQ(fifo.contents(), (std::vector<std::int32_t>{2, 3, 7}));
 }
 
 TEST(GenSupportProperty, BramShadowCommitRollback)
@@ -179,7 +214,7 @@ TEST(GenSupportProperty, DeviceDrainPreservesOrderAndRollback)
             dev.popFront();
             model.pop_front();
         }
-        ASSERT_EQ(dev.data(), model);
+        ASSERT_EQ(dev.contents(), asVector(model));
     }
 }
 

@@ -436,7 +436,7 @@ randomType(Rng &rng, int depth)
         int nfields = static_cast<int>(rng.below(4)) + 1;
         std::vector<std::pair<std::string, TypePtr>> fields;
         for (int i = 0; i < nfields; i++) {
-            fields.emplace_back("f" + std::to_string(i),
+            fields.emplace_back(std::string("f") + std::to_string(i),
                                 randomType(rng, depth - 1));
         }
         return Type::record("", std::move(fields));

@@ -232,7 +232,9 @@ TEST(RemoteFault, DeadRemoteSessionFailsAloneWhilePoolDrains)
     cfg.defaultTransport = TransportKind::SharedMem;
     cfg.transportTimeoutMs = 60000;
 
-    SessionManager mgr({2, {}});
+    SessionManagerOptions mopts;
+    mopts.workers = 2;
+    SessionManager mgr(mopts);
     std::vector<std::shared_ptr<Session>> sessions;
     for (int i = 0; i < 4; i++) {
         auto state = vorbis::makeVorbisStreamState(

@@ -154,7 +154,9 @@ TEST_P(ServingDeterminism, ConcurrentStreamsMatchSoloSerialRuns)
 
     for (int n : {1, 8, 64}) {
         for (int workers : poolWidths()) {
-            SessionManager mgr({workers, {}});
+            SessionManagerOptions mopts;
+            mopts.workers = workers;
+            SessionManager mgr(mopts);
             std::vector<std::shared_ptr<Session>> sessions;
             for (int i = 0; i < n; i++) {
                 auto state = vorbis::makeVorbisStreamState(
@@ -208,9 +210,10 @@ TEST_P(ServingDeterminism, ConcurrentStreamsMatchSoloSerialRuns)
         }
     }
 
-    if (GetParam() == SwBackend::Compiled)
+    if (GetParam() == SwBackend::Compiled) {
         EXPECT_EQ(sharedCache().stats().compiles, 1u)
             << "the whole matrix must share one compile";
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -233,7 +236,9 @@ TEST(ServingPool, PoisonedSessionDoesNotWedgeThePool)
     vorbis::VorbisServeSetup setup = vorbis::makeVorbisServeSetup();
     CosimConfig cfg;  // interpreted: no compiler needed
 
-    SessionManager mgr({2, {}});
+    SessionManagerOptions mopts;
+    mopts.workers = 2;
+    SessionManager mgr(mopts);
     std::vector<std::shared_ptr<Session>> sessions;
     for (int i = 0; i < 4; i++) {
         auto state = vorbis::makeVorbisStreamState(
@@ -329,7 +334,9 @@ TEST(ServingSoak, SeededCreateDestroyChurn)
         if (use_compiled)
             cfg.swArtifact = artifact;
 
-        SessionManager mgr({workers, {}});
+        SessionManagerOptions mopts;
+        mopts.workers = workers;
+        SessionManager mgr(mopts);
         std::vector<std::shared_ptr<Session>> sessions;
         std::vector<std::uint64_t> seeds;
         for (int i = 0; i < n; i++) {
