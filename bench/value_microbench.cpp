@@ -8,7 +8,12 @@
  *   - marshal round trip (word-wise BitSink/BitCursor packing),
  *   - Env lookup depth (slot-resolved variables: lookup cost must be
  *     flat in binder depth, not linear),
- *   - the BRAM-write transaction path (shadow copy + withElem).
+ *   - the BRAM-write transaction path (shadow copy + withElem),
+ *   - the guard-failure path: one failed fireRule whose failing guard
+ *     (a full FIFO's enq) sits below 1, 16 or 128 nested let-binders;
+ *     each depth is its own entry (BM_GuardFailFireRule/let_depth:N)
+ *     in the --benchmark_out JSON, with time per iteration = ns per
+ *     failed attempt.
  *
  * Wall clock is the figure of merit here; modeled work units are
  * covered by tests/test_work_accounting.cpp instead.
@@ -177,6 +182,35 @@ BM_BramWriteTxn(benchmark::State &state)
         static_cast<double>(interp.stats().rulesAttempted);
 }
 
+/** A failed rule attempt: enq into a full FIFO below @p depth lets. */
+void
+BM_GuardFailFireRule(benchmark::State &state)
+{
+    const int depth = static_cast<int>(state.range(0));
+    ModuleBuilder b("Top");
+    b.addFifo("q", Type::bits(32), 1);
+    b.addRule("fill", callA("q", "enq", {intE(32, 0)}));
+    ActPtr body = callA("q", "enq",
+                        {varE("x" + std::to_string(depth - 1))});
+    for (int i = depth - 1; i >= 0; i--)
+        body = letA("x" + std::to_string(i), intE(32, i), body);
+    b.addRule("deep", body);
+    Program prog = ProgramBuilder().add(b.build()).setRoot("Top").build();
+    ElabProgram elab = elaborate(prog);
+    Store store(elab);
+    Interp interp(elab, store);
+    if (!interp.fireRule(elab.ruleByName("fill"))) {
+        state.SkipWithError("could not fill the FIFO");
+        return;
+    }
+    int rule = elab.ruleByName("deep");
+    interp.stats().clear();
+    for (auto _ : state)
+        benchmark::DoNotOptimize(interp.fireRule(rule));
+    if (interp.stats().guardFails != interp.stats().rulesAttempted)
+        state.SkipWithError("an attempt did not fail");
+}
+
 } // namespace
 
 BENCHMARK(BM_ValueSnapshot)->Arg(64)->Arg(1024);
@@ -186,5 +220,10 @@ BENCHMARK(BM_StructMakeAndField);
 BENCHMARK(BM_MarshalRoundTrip)->Arg(64)->Arg(1024);
 BENCHMARK(BM_EnvLookupDepth)->Arg(4)->Arg(64);
 BENCHMARK(BM_BramWriteTxn)->Arg(64)->Arg(1024);
+BENCHMARK(BM_GuardFailFireRule)
+    ->ArgName("let_depth")
+    ->Arg(1)
+    ->Arg(16)
+    ->Arg(128);
 
 BENCHMARK_MAIN();

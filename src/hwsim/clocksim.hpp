@@ -86,6 +86,7 @@ class ClockSim
 
     HwStats &stats() { return stats_; }
     Interp &interp() { return I; }
+    const Interp &interp() const { return I; }
 
   private:
     Interp I;

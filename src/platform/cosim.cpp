@@ -340,8 +340,19 @@ CoSim::snapshotMetrics(obs::MetricsRegistry &reg) const
             .set(p.time);
     }
     for (const auto &p : hwProcs) {
-        reg.gauge("cosim.domain." + p.domain + ".cycles")
-            .set(static_cast<double>(p.time));
+        const std::string base = "cosim.domain." + p.domain;
+        reg.gauge(base + ".cycles").set(static_cast<double>(p.time));
+        if (!p.sim)
+            continue;
+        // Interpreted (ClockSim) domains also publish how many rule
+        // attempts their interpreter made and how many failed.
+        const ExecStats &st = p.sim->interp().stats();
+        reg.gauge(base + ".rules_attempted")
+            .set(static_cast<double>(st.rulesAttempted));
+        reg.gauge(base + ".guard_fails")
+            .set(static_cast<double>(st.guardFails));
+        reg.gauge(base + ".wasted_work")
+            .set(static_cast<double>(st.wastedWork));
     }
     for (const auto &t : transports) {
         snapshotChannelStats(reg,

@@ -405,10 +405,12 @@ class CoSim
     /**
      * Publish this cosim's state under the stable metric names
      * (cosim.fpga_cycles, cosim.sw_work, cosim.domain.<d>.cycles,
-     * cosim.channel.<c>.*). The internal structs stay the source of
-     * truth; call while quiesced (after run(), or at an epoch
-     * barrier) — set() semantics, so the registry reflects THIS
-     * cosim afterwards.
+     * cosim.channel.<c>.*; for each interpreted hardware domain also
+     * cosim.domain.<d>.rules_attempted / .guard_fails / .wasted_work
+     * from its ClockSim's ExecStats). The internal structs stay the
+     * source of truth; call while quiesced (after run(), or at an
+     * epoch barrier) — set() semantics, so the registry reflects
+     * THIS cosim afterwards.
      */
     void snapshotMetrics(obs::MetricsRegistry &reg) const;
 

@@ -47,7 +47,12 @@ class Env
 
 } // namespace
 
-/** One rule/method execution; holds the cost hooks. */
+/**
+ * One rule/method execution; holds the cost hooks. Every eval
+ * function returns false on guard failure, and its caller returns
+ * false right after that child, so nothing past the failing node is
+ * evaluated or charged (see interp.hpp).
+ */
 class InterpExec
 {
   public:
@@ -63,121 +68,121 @@ class InterpExec
         localWork += units;
     }
 
-    Value
-    evalExpr(std::int32_t idx, Env &env, TxnFrame &frame)
+    /** Evaluate expression @p idx into @p out; false on guard failure. */
+    [[nodiscard]] bool
+    evalExpr(std::int32_t idx, Env &env, TxnFrame &frame, Value &out)
     {
         charge(I.costs_.perNode);
         const CExpr &e = P.exprs[static_cast<size_t>(idx)];
         switch (e.kind) {
           case ExprKind::Const:
-            return e.constVal;
+            out = e.constVal;
+            return true;
           case ExprKind::Var:
-            return env.at(static_cast<size_t>(e.slot));
+            out = env.at(static_cast<size_t>(e.slot));
+            return true;
           case ExprKind::Prim:
-            return evalPrimOp(e, env, frame);
+            return evalPrimOp(e, env, frame, out);
           case ExprKind::Cond: {
-            Value p = evalExpr(kid(e, 0), env, frame);
-            if (p.asBool())
-                return evalExpr(kid(e, 1), env, frame);
-            return evalExpr(kid(e, 2), env, frame);
+            Value p;
+            if (!evalExpr(kid(e, 0), env, frame, p))
+                return false;
+            return evalExpr(kid(e, p.asBool() ? 1 : 2), env, frame, out);
           }
           case ExprKind::When: {
             // Guard evaluated first: an unready guard poisons the
             // whole expression (axioms A.6-A.8 lift it outward).
-            Value g = evalExpr(kid(e, 1), env, frame);
-            if (!g.asBool())
-                throw GuardFail{};
-            return evalExpr(kid(e, 0), env, frame);
+            Value g;
+            if (!evalExpr(kid(e, 1), env, frame, g) || !g.asBool())
+                return false;
+            return evalExpr(kid(e, 0), env, frame, out);
           }
           case ExprKind::Let: {
-            Value bound = evalExpr(kid(e, 0), env, frame);
+            Value bound;
+            if (!evalExpr(kid(e, 0), env, frame, bound))
+                return false;
             size_t m = env.mark();
             env.push(std::move(bound));
-            Value out = evalExpr(kid(e, 1), env, frame);
+            bool ok = evalExpr(kid(e, 1), env, frame, out);
             env.popTo(m);
-            return out;
+            return ok;
           }
           case ExprKind::CallV:
-            return evalCallV(e, env, frame);
+            return evalCallV(e, env, frame, out);
         }
         panic("unreachable expression kind");
     }
 
-    void
+    /** Execute action @p idx into @p frame; false on guard failure. */
+    [[nodiscard]] bool
     evalAction(std::int32_t idx, Env &env, TxnFrame &frame)
     {
         charge(I.costs_.perNode);
         const CAct &a = P.acts[static_cast<size_t>(idx)];
         switch (a.kind) {
           case ActKind::NoOp:
-            return;
+            return true;
           case ActKind::Par:
-            evalPar(a, env, frame);
-            return;
+            return evalPar(a, env, frame);
           case ActKind::Seq:
-            for (std::uint32_t i = 0; i < a.nsubs; i++)
-                evalAction(sub(a, i), env, frame);
-            return;
+            for (std::uint32_t i = 0; i < a.nsubs; i++) {
+                if (!evalAction(sub(a, i), env, frame))
+                    return false;
+            }
+            return true;
           case ActKind::If: {
-            Value p = evalExpr(ex(a, 0), env, frame);
-            if (p.asBool())
-                evalAction(sub(a, 0), env, frame);
-            return;
+            Value p;
+            if (!evalExpr(ex(a, 0), env, frame, p))
+                return false;
+            return !p.asBool() || evalAction(sub(a, 0), env, frame);
           }
           case ActKind::When: {
-            Value g = evalExpr(ex(a, 0), env, frame);
-            if (!g.asBool())
-                throw GuardFail{};
-            evalAction(sub(a, 0), env, frame);
-            return;
+            Value g;
+            if (!evalExpr(ex(a, 0), env, frame, g) || !g.asBool())
+                return false;
+            return evalAction(sub(a, 0), env, frame);
           }
           case ActKind::Let: {
-            Value bound = evalExpr(ex(a, 0), env, frame);
+            Value bound;
+            if (!evalExpr(ex(a, 0), env, frame, bound))
+                return false;
             size_t m = env.mark();
             env.push(std::move(bound));
-            evalAction(sub(a, 0), env, frame);
+            bool ok = evalAction(sub(a, 0), env, frame);
             env.popTo(m);
-            return;
+            return ok;
           }
           case ActKind::Loop: {
             // Dynamic loops are bounded only by their condition; a
             // runaway loop is a user bug, reported once the budget
             // (CostModel::loopIterBudget body executions) is spent
             // rather than hanging.
-            std::uint64_t iters = 0;
-            while (true) {
-                Value c = evalExpr(ex(a, 0), env, frame);
+            for (std::uint64_t iters = 0;; ++iters) {
+                Value c;
+                if (!evalExpr(ex(a, 0), env, frame, c))
+                    return false;
                 if (!c.asBool())
-                    break;
+                    return true;
                 if (iters >= I.costs_.loopIterBudget)
                     fatal("loop exceeded iteration budget (runaway "
                           "loop in rule?)");
-                evalAction(sub(a, 0), env, frame);
-                ++iters;
+                if (!evalAction(sub(a, 0), env, frame))
+                    return false;
             }
-            return;
           }
           case ActKind::LocalGuard: {
             TxnFrame child(frame);
             I.stats_.shadowCopies++;
-            // A failure may unwind out of Let bodies whose popTo never
-            // ran; restore the activation depth so the slots assigned
-            // to later binders stay aligned.
-            size_t m = env.mark();
-            try {
-                evalAction(sub(a, 0), env, child);
-            } catch (const GuardFail &) {
+            if (!evalAction(sub(a, 0), env, child)) {
                 // Body becomes noAction; its writes are discarded.
-                env.popTo(m);
                 charge(I.costs_.perRollback);
-                return;
+                return true;
             }
             child.commit();
-            return;
+            return true;
           }
           case ActKind::CallA:
-            evalCallA(a, env, frame);
-            return;
+            return evalCallA(a, env, frame);
         }
         panic("unreachable action kind");
     }
@@ -188,7 +193,7 @@ class InterpExec
      * Charges what the seed interpreter charged for that transient
      * tree: one node for the call plus one per constant argument.
      */
-    void
+    [[nodiscard]] bool
     callActionRoot(int meth_id, const std::vector<Value> &args,
                    TxnFrame &frame)
     {
@@ -205,7 +210,7 @@ class InterpExec
         Env callee;
         for (const Value &v : args)
             callee.push(v);
-        evalAction(root, callee, frame);
+        return evalAction(root, callee, frame);
     }
 
     std::uint64_t localWork = 0;
@@ -233,7 +238,8 @@ class InterpExec
         return P.kidPool[a.subs + i];
     }
 
-    void
+    /** Parallel composition; stops at the first failing branch. */
+    [[nodiscard]] bool
     evalPar(const CAct &a, Env &env, TxnFrame &frame)
     {
         // Every branch observes the same pre-state; writes are
@@ -243,32 +249,40 @@ class InterpExec
         for (std::uint32_t i = 0; i < a.nsubs; i++)
             frames.push_back(std::make_unique<TxnFrame>(frame));
         I.stats_.shadowCopies += a.nsubs;
-        for (std::uint32_t i = 0; i < a.nsubs; i++)
-            evalAction(sub(a, i), env, *frames[i]);
+        for (std::uint32_t i = 0; i < a.nsubs; i++) {
+            if (!evalAction(sub(a, i), env, *frames[i]))
+                return false;
+        }
         std::vector<TxnFrame *> ptrs;
         ptrs.reserve(frames.size());
         for (auto &f : frames)
             ptrs.push_back(f.get());
         TxnFrame::mergeSiblings(ptrs, prog.prims);
+        return true;
     }
 
-    std::vector<Value>
-    evalArgs(const CAct &a, Env &env, TxnFrame &frame)
+    /** Evaluate the @p n argument expressions at kidPool offset
+     *  @p first, in order, into @p vals. */
+    [[nodiscard]] bool
+    evalArgs(std::uint32_t first, std::uint32_t n, Env &env,
+             TxnFrame &frame, std::vector<Value> &vals)
     {
-        std::vector<Value> vals;
-        vals.reserve(a.nexprs);
-        for (std::uint32_t i = 0; i < a.nexprs; i++)
-            vals.push_back(evalExpr(ex(a, i), env, frame));
-        return vals;
+        vals.reserve(n);
+        for (std::uint32_t i = 0; i < n; i++) {
+            Value v;
+            if (!evalExpr(P.kidPool[first + i], env, frame, v))
+                return false;
+            vals.push_back(std::move(v));
+        }
+        return true;
     }
 
-    Value
-    evalCallV(const CExpr &e, Env &env, TxnFrame &frame)
+    [[nodiscard]] bool
+    evalCallV(const CExpr &e, Env &env, TxnFrame &frame, Value &out)
     {
         std::vector<Value> args;
-        args.reserve(e.nkids);
-        for (std::uint32_t i = 0; i < e.nkids; i++)
-            args.push_back(evalExpr(kid(e, i), env, frame));
+        if (!evalArgs(e.kids, e.nkids, env, frame, args))
+            return false;
         if (e.isPrim) {
             const ElabPrim &prim = prog.prims[static_cast<size_t>(
                 e.inst)];
@@ -276,10 +290,11 @@ class InterpExec
             PrimRead r = readPrim(prim, frame.get(e.inst), e.pmeth,
                                   args);
             if (!r.ok)
-                throw GuardFail{};
+                return false;
             // Frame-sized values cost word moves to copy out.
             chargeValueMove(r.val);
-            return r.val;
+            out = std::move(r.val);
+            return true;
         }
         const ElabMethod &m = prog.methods[static_cast<size_t>(
             e.methIdx)];
@@ -287,13 +302,15 @@ class InterpExec
                                 .root;
         Env callee;
         bindParams(m, args, callee);
-        return evalExpr(root, callee, frame);
+        return evalExpr(root, callee, frame, out);
     }
 
-    void
+    [[nodiscard]] bool
     evalCallA(const CAct &a, Env &env, TxnFrame &frame)
     {
-        std::vector<Value> args = evalArgs(a, env, frame);
+        std::vector<Value> args;
+        if (!evalArgs(a.exprs, a.nexprs, env, frame, args))
+            return false;
         if (a.isPrim) {
             const ElabPrim &prim = prog.prims[static_cast<size_t>(
                 a.inst)];
@@ -304,7 +321,7 @@ class InterpExec
             PrimState &shadow = frame.getForWrite(a.inst);
             I.stats_.shadowCopies++;
             if (!writePrim(prim, shadow, a.pmeth, args))
-                throw GuardFail{};
+                return false;
             if (!args.empty())
                 chargeValueMove(args[0]);
             // Crossing the partition boundary costs driver work on
@@ -312,7 +329,7 @@ class InterpExec
             // maintenance); hardware partitions ignore work counts.
             if (a.chargeSync)
                 charge(I.costs_.perSyncMessage);
-            return;
+            return true;
         }
         const ElabMethod &m = prog.methods[static_cast<size_t>(
             a.methIdx)];
@@ -320,7 +337,7 @@ class InterpExec
                                 .root;
         Env callee;
         bindParams(m, args, callee);
-        evalAction(root, callee, frame);
+        return evalAction(root, callee, frame);
     }
 
     void
@@ -344,11 +361,13 @@ class InterpExec
                    static_cast<std::uint64_t>(words));
     }
 
-    Value
-    evalPrimOp(const CExpr &e, Env &env, TxnFrame &frame)
+    /** Operands are evaluated left to right; the first guard failure
+     *  abandons the op before its own cost is charged. */
+    [[nodiscard]] bool
+    evalPrimOp(const CExpr &e, Env &env, TxnFrame &frame, Value &out)
     {
-        auto ev = [&](std::uint32_t i) {
-            return evalExpr(kid(e, i), env, frame);
+        auto ev = [&](std::uint32_t i, Value &v) {
+            return evalExpr(kid(e, i), env, frame, v);
         };
 
         switch (e.op) {
@@ -363,45 +382,61 @@ class InterpExec
           case PrimOp::And:
           case PrimOp::Or:
           case PrimOp::Xor: {
-            Value a = ev(0), b = ev(1);
-            return evalBinary(e, a, b);
+            Value a, b;
+            if (!ev(0, a) || !ev(1, b))
+                return false;
+            out = evalBinary(e, a, b);
+            return true;
           }
           case PrimOp::SqrtFx: {
-            Value a = ev(0);
+            Value a;
+            if (!ev(0, a))
+                return false;
             charge(I.costs_.perMul * 5);  // iterative root unit
             std::int64_t x = a.asInt();
             if (x < 0)
                 x = 0;
             std::uint64_t wide = static_cast<std::uint64_t>(x)
                                  << e.imm;
-            return Value::makeInt(a.width(),
-                                  static_cast<std::int64_t>(
-                                      isqrt64(wide)));
+            out = Value::makeInt(a.width(),
+                                 static_cast<std::int64_t>(
+                                     isqrt64(wide)));
+            return true;
           }
           case PrimOp::Neg: {
-            Value a = ev(0);
+            Value a;
+            if (!ev(0, a))
+                return false;
             charge(I.costs_.perArith);
-            return Value::makeInt(a.width(), -a.asInt());
+            out = Value::makeInt(a.width(), -a.asInt());
+            return true;
           }
           case PrimOp::Not: {
-            Value a = ev(0);
+            Value a;
+            if (!ev(0, a))
+                return false;
             charge(I.costs_.perArith);
-            if (a.isBool())
-                return Value::makeBool(!a.asBool());
-            return Value::makeBits(a.width(), ~a.asUInt());
+            out = a.isBool() ? Value::makeBool(!a.asBool())
+                             : Value::makeBits(a.width(), ~a.asUInt());
+            return true;
           }
           case PrimOp::Eq:
           case PrimOp::Ne: {
-            Value a = ev(0), b = ev(1);
+            Value a, b;
+            if (!ev(0, a) || !ev(1, b))
+                return false;
             charge(I.costs_.perArith);
             bool eq = a == b;
-            return Value::makeBool(e.op == PrimOp::Eq ? eq : !eq);
+            out = Value::makeBool(e.op == PrimOp::Eq ? eq : !eq);
+            return true;
           }
           case PrimOp::Lt:
           case PrimOp::Le:
           case PrimOp::Gt:
           case PrimOp::Ge: {
-            Value a = ev(0), b = ev(1);
+            Value a, b;
+            if (!ev(0, a) || !ev(1, b))
+                return false;
             charge(I.costs_.perArith);
             std::int64_t x = a.asInt(), y = b.asInt();
             bool r = false;
@@ -412,65 +447,79 @@ class InterpExec
               case PrimOp::Ge: r = x >= y; break;
               default: break;
             }
-            return Value::makeBool(r);
+            out = Value::makeBool(r);
+            return true;
           }
           case PrimOp::Index: {
-            Value vec = ev(0), idx = ev(1);
+            Value vec, idx;
+            if (!ev(0, vec) || !ev(1, idx))
+                return false;
             charge(I.costs_.perArith);
-            return vec.at(idx.asUInt());
+            out = vec.at(idx.asUInt());
+            return true;
           }
           case PrimOp::Update: {
-            Value vec = ev(0), idx = ev(1), val = ev(2);
+            Value vec, idx, val;
+            if (!ev(0, vec) || !ev(1, idx) || !ev(2, val))
+                return false;
             charge(I.costs_.perArith * 2);
-            return std::move(vec).withElem(idx.asUInt(),
-                                           std::move(val));
+            out = std::move(vec).withElem(idx.asUInt(), std::move(val));
+            return true;
           }
           case PrimOp::Field: {
-            Value s = ev(0);
+            Value s;
+            if (!ev(0, s))
+                return false;
             charge(I.costs_.perArith);
             const Value *f = s.tryFieldById(e.fieldId);
             if (!f) {
                 panic("struct has no field '" + *e.name +
                       "': " + s.str());
             }
-            return *f;
+            out = *f;
+            return true;
           }
           case PrimOp::SetField: {
-            Value s = ev(0), val = ev(1);
+            Value s, val;
+            if (!ev(0, s) || !ev(1, val))
+                return false;
             charge(I.costs_.perArith);
             size_t i = s.shape()->indexOf(e.fieldId);
             if (i == StructShape::npos) {
                 panic("withField: no field '" + *e.name + "' in " +
                       s.str());
             }
-            return std::move(s).withFieldAt(i, std::move(val));
+            out = std::move(s).withFieldAt(i, std::move(val));
+            return true;
           }
           case PrimOp::MakeVec: {
             std::vector<Value> elems;
-            elems.reserve(e.nkids);
-            for (std::uint32_t i = 0; i < e.nkids; i++)
-                elems.push_back(ev(i));
+            if (!evalArgs(e.kids, e.nkids, env, frame, elems))
+                return false;
             charge(I.costs_.perWordMove * e.nkids);
-            return Value::makeVec(std::move(elems));
+            out = Value::makeVec(std::move(elems));
+            return true;
           }
           case PrimOp::MakeStruct: {
             std::vector<Value> vals;
-            vals.reserve(e.nkids);
-            for (std::uint32_t i = 0; i < e.nkids; i++)
-                vals.push_back(ev(i));
+            if (!evalArgs(e.kids, e.nkids, env, frame, vals))
+                return false;
             charge(I.costs_.perArith * e.nkids);
-            return Value::makeStructShaped(e.shape,
-                                           std::move(vals));
+            out = Value::makeStructShaped(e.shape, std::move(vals));
+            return true;
           }
           case PrimOp::BitRev: {
-            Value a = ev(0);
+            Value a;
+            if (!ev(0, a))
+                return false;
             charge(I.costs_.perArith * 2);
-            std::uint64_t in = a.asUInt(), out = 0;
+            std::uint64_t in = a.asUInt(), rev = 0;
             for (int i = 0; i < e.imm; i++) {
-                out <<= 1;
-                out |= (in >> i) & 1;
+                rev <<= 1;
+                rev |= (in >> i) & 1;
             }
-            return Value::makeBits(a.width(), out);
+            out = Value::makeBits(a.width(), rev);
+            return true;
           }
         }
         panic("unreachable prim op");
@@ -565,9 +614,7 @@ Interp::fireRule(int rule_id)
     TxnFrame frame(store_);
     InterpExec exec(*this, *compiled_);
     Env env;
-    try {
-        exec.evalAction(root, env, frame);
-    } catch (const GuardFail &) {
+    if (!exec.evalAction(root, env, frame)) {
         stats_.guardFails++;
         stats_.wastedWork += exec.localWork;
         stats_.work += costs_.perRollback;
@@ -589,9 +636,7 @@ Interp::callActionMethod(int meth_id, const std::vector<Value> &args)
 
     TxnFrame frame(store_);
     InterpExec exec(*this, *compiled_);
-    try {
-        exec.callActionRoot(meth_id, args, frame);
-    } catch (const GuardFail &) {
+    if (!exec.callActionRoot(meth_id, args, frame)) {
         stats_.guardFails++;
         stats_.wastedWork += exec.localWork;
         return false;
@@ -617,7 +662,10 @@ Interp::callValueMethod(int meth_id, const std::vector<Value> &args)
     Env env;
     for (const Value &v : args)
         env.push(v);
-    return exec.evalExpr(root, env, frame);
+    Value out;
+    if (!exec.evalExpr(root, env, frame, out))
+        throw GuardFail{};  // the one throw: the public API boundary
+    return out;
 }
 
 } // namespace bcl

@@ -4,7 +4,7 @@
  * operational semantics of section 5:
  *
  *   - rules and action methods execute as transactions over a
- *     TxnFrame; a guard failure anywhere unwinds the whole rule,
+ *     TxnFrame; a guard failure anywhere abandons the whole rule,
  *   - parallel composition runs branches against isolated sibling
  *     frames and merges them (DOUBLE WRITE ERROR on overlap),
  *   - sequential composition lets later actions observe earlier
@@ -22,6 +22,15 @@
  * modeled work units are charged exactly as the AST walk charged
  * them (see "Runtime data layout & cost-model invariance" in
  * docs/ARCHITECTURE.md and tests/test_work_accounting.cpp).
+ *
+ * Guard failure is a returned status, not an exception: every
+ * evaluation step reports failure by returning false, and its caller
+ * stops right there and returns false in turn, up to the enclosing
+ * LocalGuard (which turns it into noAction) or to fireRule() /
+ * callActionMethod() (which roll back). The modeled work of a failed
+ * attempt is exactly the work of the nodes evaluated up to the
+ * failing one. GuardFail is thrown only at the callValueMethod()
+ * boundary, to report an unready value method to the caller.
  *
  * Contract: fireRule() is atomic — it either commits the rule's
  * whole effect to the store and returns true, or changes nothing and
@@ -44,7 +53,8 @@ namespace bcl {
 
 struct CompiledProgram;
 
-/** Guard-failure unwind; not an error (control flow). */
+/** Thrown by Interp::callValueMethod when the method is not ready;
+ *  the interpreter itself propagates guard failure as a status. */
 struct GuardFail
 {
 };

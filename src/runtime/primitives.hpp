@@ -4,7 +4,7 @@
  * declarations). Every method is a pure function over PrimState:
  * value methods read, action methods produce a new state. A false
  * guard leaves the state untouched and reports failure; the
- * interpreter converts that into a guard-failure unwind.
+ * interpreter propagates that as a failed guard status.
  */
 #ifndef BCL_RUNTIME_PRIMITIVES_HPP
 #define BCL_RUNTIME_PRIMITIVES_HPP

@@ -213,7 +213,7 @@ class TxnFrame
      * state into the change log on first touch, then hands back the
      * same entry. The caller mutates it directly (no second copy, no
      * put()). A guard failure after this leaves a clean shadow entry
-     * behind, which is harmless: failure always unwinds to a boundary
+     * behind, which is harmless: failure always propagates to a boundary
      * (rule / localGuard) that discards the whole frame.
      */
     PrimState &getForWrite(int id);

@@ -22,11 +22,12 @@ class Harness
 {
   public:
     explicit Harness(ModuleDef m)
+        : Harness(ProgramBuilder().add(std::move(m)).setRoot("Top").build())
     {
-        prog = ProgramBuilder()
-                   .add(std::move(m))
-                   .setRoot("Top")
-                   .build();
+    }
+
+    explicit Harness(Program p) : prog(std::move(p))
+    {
         elab = elaborate(prog);
         store = std::make_unique<Store>(elab);
         interp = std::make_unique<Interp>(elab, *store);
@@ -189,17 +190,16 @@ TEST(Interp, LocalGuardConvertsFailureToNoAction)
 
 TEST(Interp, LocalGuardFailureInsideLetKeepsLaterBindingsAligned)
 {
-    // A guard failure that unwinds out of a let body skips that let's
-    // scope pop. The LocalGuard that absorbs the failure must restore
-    // the activation depth, or every later binding in the rule reads
-    // the wrong slot (regression test for the slot-resolved Env).
+    // A let whose body fails must still pop its slot on the way out,
+    // or every binding after the absorbing LocalGuard reads the wrong
+    // slot (regression test for the slot-resolved Env).
     ModuleBuilder b("Top");
     b.addReg("r", w32());
     b.addFifo("q", w32(), 1);
     b.addRule("fill", callA("q", "enq", {intE(32, 1)}));
     ActPtr failing_let =
         letA("t", intE(32, 111),
-             callA("q", "enq", {varE("t")}));  // q full -> GuardFail
+             callA("q", "enq", {varE("t")}));  // q full: guard fails
     ActPtr use_after =
         letA("u", intE(32, 7), regWrite("r", varE("u")));
     b.addRule("lg", seqA({localGuardA(failing_let), use_after}));
@@ -208,6 +208,195 @@ TEST(Interp, LocalGuardFailureInsideLetKeepsLaterBindingsAligned)
     EXPECT_TRUE(h.fire("lg"));
     EXPECT_EQ(h.regInt("r"), 7);  // not the stale 111
     EXPECT_EQ(h.fifoDepth("q"), 1u);
+}
+
+// Guard-failure parity. A failed attempt must leave the store exactly
+// as it was, return every Let slot it pushed, and charge the work of
+// the nodes evaluated up to (and including) the failing one -- nothing
+// after it. Expected charges are hand-computed from the default
+// CostModel: perNode 1, perPrimCall 2, perCommitEntry 2, perRollback 4;
+// 32-bit values move for free. So a constant or variable costs 1, a
+// one-argument primitive write 1 + 1 + 2 = 4, a let 1 + bound + body.
+
+/** Snapshot of every primitive's committed state. */
+std::vector<PrimState>
+snapshot(const Store &store)
+{
+    std::vector<PrimState> out;
+    for (size_t i = 0; i < store.size(); i++)
+        out.push_back(store.at(static_cast<int>(i)));
+    return out;
+}
+
+/**
+ * Fire @p rule expecting a guard failure after @p local_work units;
+ * checks the store is untouched and the failure accounting.
+ */
+void
+expectGuardFailure(Harness &h, const std::string &rule,
+                   std::uint64_t local_work)
+{
+    std::vector<PrimState> before = snapshot(*h.store);
+    ExecStats s0 = h.interp->stats();
+    EXPECT_FALSE(h.fire(rule));
+    const ExecStats &s1 = h.interp->stats();
+    EXPECT_EQ(snapshot(*h.store), before);
+    EXPECT_EQ(s1.work - s0.work, local_work + 4);  // + perRollback
+    EXPECT_EQ(s1.wastedWork - s0.wastedWork, local_work);
+    EXPECT_EQ(s1.guardFails - s0.guardFails, 1u);
+    EXPECT_EQ(s1.rulesAttempted - s0.rulesAttempted, 1u);
+    EXPECT_EQ(s1.rulesFired, s0.rulesFired);
+}
+
+/** Fire @p rule expecting a commit charging @p work units in all. */
+void
+expectFiresCharging(Harness &h, const std::string &rule,
+                    std::uint64_t work)
+{
+    ExecStats s0 = h.interp->stats();
+    EXPECT_TRUE(h.fire(rule));
+    const ExecStats &s1 = h.interp->stats();
+    EXPECT_EQ(s1.work - s0.work, work);
+    EXPECT_EQ(s1.wastedWork, s0.wastedWork);
+    EXPECT_EQ(s1.guardFails, s0.guardFails);
+    EXPECT_EQ(s1.rulesFired - s0.rulesFired, 1u);
+}
+
+/** "u := 7; r := u": reads slot 0 only if earlier Lets were popped. */
+ActPtr
+useAfter()
+{
+    return letA("u", intE(32, 7), regWrite("r", varE("u")));
+}
+
+TEST(InterpGuardFail, InnermostFailureBelow128NestedLets)
+{
+    ModuleBuilder b("Top");
+    b.addReg("r", w32());
+    b.addFifo("q", w32(), 1);
+    b.addRule("fill", callA("q", "enq", {intE(32, 1)}));
+    auto deep = [] {
+        ActPtr body = callA("q", "enq", {varE("x127")});
+        for (int i = 127; i >= 0; i--) {
+            body = letA("x" + std::to_string(i), intE(32, 1000 + i),
+                        std::move(body));
+        }
+        return body;
+    };
+    b.addRule("deep", deep());
+    b.addRule("deepLG", seqA({localGuardA(deep()), useAfter()}));
+    Harness h(b.build());
+    EXPECT_TRUE(h.fire("fill"));  // q now full: the innermost enq fails
+
+    // 128 lets x (let + const) + enq (node + var + prim call).
+    expectGuardFailure(h, "deep", 128 * 2 + 4);
+    // seq + localGuard + the failed chain + rollback + useAfter (6),
+    // then one committed write.
+    expectFiresCharging(h, "deepLG", 1 + 1 + 260 + 4 + 6 + 2);
+    EXPECT_EQ(h.regInt("r"), 7);  // not a stale x0..x127
+    EXPECT_EQ(h.fifoDepth("q"), 1u);
+}
+
+TEST(InterpGuardFail, SecondParBranchFailsAfterFirstWrote)
+{
+    ModuleBuilder b("Top");
+    b.addReg("r", w32());
+    b.addReg("s", w32());
+    b.addFifo("q", w32(), 1);
+    b.addRule("fill", callA("q", "enq", {intE(32, 1)}));
+    auto par = [] {
+        return parA(
+            {letA("a", intE(32, 5), regWrite("s", varE("a"))),
+             letA("t", intE(32, 6),
+                  seqA({regWrite("r", varE("t")),
+                        callA("q", "enq", {varE("t")})}))});
+    };
+    b.addRule("par", par());
+    b.addRule("parLG", seqA({localGuardA(par()), useAfter()}));
+    Harness h(b.build());
+    EXPECT_TRUE(h.fire("fill"));
+
+    // par + branch 1 (let 1 + const 1 + write 4) + branch 2 (let 1 +
+    // const 1 + seq 1 + write 4 + failing enq 4).
+    expectGuardFailure(h, "par", 1 + 6 + 11);
+    expectFiresCharging(h, "parLG", 1 + 1 + 18 + 4 + 6 + 2);
+    EXPECT_EQ(h.regInt("r"), 7);
+    EXPECT_EQ(h.regInt("s"), 0);  // the first branch's write is gone
+    EXPECT_EQ(h.fifoDepth("q"), 1u);
+}
+
+TEST(InterpGuardFail, LocalGuardInParBranchKeepsSiblingWrites)
+{
+    ModuleBuilder b("Top");
+    b.addReg("r", w32());
+    b.addReg("s", w32());
+    b.addReg("w", w32());
+    b.addFifo("q", w32(), 1);
+    b.addRule("fill", callA("q", "enq", {intE(32, 1)}));
+    b.addRule(
+        "lgpar",
+        seqA({parA({regWrite("w", intE(32, 5)),
+                    localGuardA(letA(
+                        "t", intE(32, 6),
+                        seqA({regWrite("s", varE("t")),
+                              callA("q", "enq", {varE("t")})})))}),
+              useAfter()}));
+    Harness h(b.build());
+    EXPECT_TRUE(h.fire("fill"));
+
+    // seq 1 + par 1 + write 4 + localGuard 1 + failed body 11 +
+    // rollback 4 + useAfter 6, then two committed writes (w, r).
+    expectFiresCharging(h, "lgpar", 1 + 1 + 4 + 1 + 11 + 4 + 6 + 2 * 2);
+    EXPECT_EQ(h.regInt("w"), 5);  // the sibling's write committed
+    EXPECT_EQ(h.regInt("s"), 0);  // the guarded branch became noAction
+    EXPECT_EQ(h.regInt("r"), 7);
+    EXPECT_EQ(h.fifoDepth("q"), 1u);
+}
+
+TEST(InterpGuardFail, ValueMethodFailsInsideArgumentList)
+{
+    ModuleBuilder inner("Inner");
+    inner.addFifo("f", w32(), 2);
+    inner.addReg("sum", w32());
+    inner.addValueMethod("head", {}, w32(), callV("f", "first"));
+    inner.addActionMethod(
+        "put", {{"a", w32()}, {"b", w32()}},
+        regWrite("sum", primE(PrimOp::Add, {varE("a"), varE("b")})));
+    ModuleBuilder top("Top");
+    top.addSub("c", "Inner");
+    top.addReg("r", w32());
+    top.addRule(
+        "use",
+        callA("c", "put",
+              {letE("k", intE(32, 3), varE("k")),
+               letE("m", intE(32, 4),
+                    primE(PrimOp::Add, {varE("m"), callV("c", "head")}))}));
+    top.addRule("useLG", seqA({localGuardA(callA(
+                                   "c", "put",
+                                   {letE("k", intE(32, 3), varE("k")),
+                                    callV("c", "head")})),
+                               useAfter()}));
+    top.addValueMethod("peek", {}, w32(), callV("c", "head"));
+
+    Harness h(ProgramBuilder()
+                  .add(inner.build())
+                  .add(top.build())
+                  .setRoot("Top")
+                  .build());
+
+    // call 1 + arg 0 (let 1 + const 1 + var 1) + arg 1 (let 1 + const
+    // 1 + add 1 + var 1 + head call 1 + first() node 1 + prim call 2).
+    expectGuardFailure(h, "use", 1 + 3 + 8);
+    // seq + localGuard + (call 1 + arg 0 3 + head 1 + first() 3) +
+    // rollback + useAfter, then one committed write.
+    expectFiresCharging(h, "useLG", 1 + 1 + 8 + 4 + 6 + 2);
+    EXPECT_EQ(h.regInt("r"), 7);
+    EXPECT_EQ(h.regInt("c.sum"), 0);
+
+    // The public value-method entry point still reports an unready
+    // method by throwing GuardFail.
+    int peek = h.elab.rootMethod("peek");
+    EXPECT_THROW(h.interp->callValueMethod(peek, {}), GuardFail);
 }
 
 TEST(Interp, FifoEnqDeqFirstOrder)

@@ -609,6 +609,50 @@ TEST(TracedCosim, SnapshotPublishesCosimMetrics)
     EXPECT_TRUE(saw_channel);
 }
 
+TEST(TracedCosim, InterpretedHwAttemptCountersIgnoreTracing)
+{
+    // The per-domain rule-attempt gauges of interpreted hardware
+    // domains are modeled quantities: at threads = 1 they must not
+    // move when tracing is switched on.
+    auto attemptGauges = [](bool traced) {
+        std::unique_ptr<ScopedObs> on;
+        if (traced)
+            on = std::make_unique<ScopedObs>();
+        vorbis::VorbisServeSetup setup = vorbis::makeVorbisServeSetup(
+            vorbis::partitionConfig(vorbis::VorbisPartition::B));
+        CosimConfig cfg;
+        cfg.threads = 1;
+        CoSim cs(setup.parts, cfg);
+        auto state = vorbis::makeVorbisStreamState(1, 7);
+        cs.setDriver("SW", vorbis::makeVorbisStreamDriver(
+                               state, setup.pushMethod));
+        int audio = setup.audioPrim;
+        cs.run([&](CoSim &c) {
+            return c.storeOf("SW").at(audio).queue.size() >= 1;
+        });
+
+        obs::MetricsRegistry reg;
+        reg.enable(true);
+        cs.snapshotMetrics(reg);
+        Json root = JsonParser(reg.toJson()).parse();
+        std::map<std::string, double> out;
+        for (const char *k :
+             {"rules_attempted", "guard_fails", "wasted_work"}) {
+            auto it = root.obj.find(std::string("cosim.domain.HW.") + k);
+            if (it != root.obj.end())
+                out[k] = it->second.at("value").num;
+        }
+        return out;
+    };
+
+    std::map<std::string, double> off = attemptGauges(false);
+    std::map<std::string, double> on = attemptGauges(true);
+    ASSERT_EQ(off.size(), 3u);
+    EXPECT_GT(off["rules_attempted"], 0.0);
+    EXPECT_GT(off["guard_fails"], 0.0);
+    EXPECT_EQ(on, off);
+}
+
 // ---------------------------------------------------------------------------
 // Disabled-path overhead guard
 // ---------------------------------------------------------------------------
