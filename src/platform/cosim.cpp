@@ -6,6 +6,7 @@
 #include <chrono>
 #include <exception>
 #include <limits>
+#include <optional>
 #include <thread>
 
 #include "common/logging.hpp"
@@ -15,54 +16,40 @@ namespace bcl {
 
 namespace {
 
-/** SwPort over the reference interpreter. */
-class InterpPort final : public SwPort
-{
-  public:
-    explicit InterpPort(Interp &interp) : I(interp) {}
+/**
+ * CPU cycles per abstract work unit of an interpreted software
+ * domain. Work units are interpreter AST-node counts, which
+ * overestimate the instructions of the *compiled* generated C++ by
+ * roughly 4x (many nodes fold into single instructions); 0.23
+ * calibrates the full-software Vorbis partition to ~1.2x the
+ * hand-written baseline, the paper's "slightly faster" F2 relation.
+ * Host drivers' reported work converts at the same rate. See
+ * docs/EXPERIMENTS.md.
+ */
+constexpr double kSwCyclesPerWork = 0.23;
 
-    bool
-    callActionMethod(int meth_id,
-                     const std::vector<Value> &args) override
-    {
-        return I.callActionMethod(meth_id, args);
-    }
+/**
+ * Virtual-time charge (CPU cycles) per rule firing of a compiled
+ * software domain. Compiled execution does not model work — it IS the
+ * generated code running natively — so virtual time is approximated
+ * per firing. Latency-insensitive interfaces make functional results
+ * independent of this charge; only reported cycle counts move.
+ */
+constexpr double kSwCompiledCyclesPerFiring = 200.0;
 
-    std::uint64_t work() const override { return I.stats().work; }
-    Store &store() override { return I.store(); }
-    Interp *interp() override { return &I; }
+/** Scheduling strategy of interpreted software domains. */
+constexpr SwStrategy kSwStrategy = SwStrategy::Dataflow;
 
-  private:
-    Interp &I;
-};
+/** Max firing executor steps per software slice before hardware
+ *  catches up (bounds virtual-time skew); on workers this is also the
+ *  epoch granularity between barriers. An interpreted step fires at
+ *  most one rule. */
+constexpr int kSwQuantum = 64;
 
-/** SwPort over a compiled shared object (mirror store for reads). */
-class CompiledPort final : public SwPort
-{
-  public:
-    CompiledPort(CompiledPartition &compiled, Store &mirror)
-        : C(compiled), mirror_(mirror)
-    {
-    }
+/** Hard stop for the whole co-simulation, FPGA cycles. */
+constexpr std::uint64_t kMaxFpgaCycles = 1ull << 40;
 
-    bool
-    callActionMethod(int meth_id,
-                     const std::vector<Value> &args) override
-    {
-        return C.callActionMethod(meth_id, args);
-    }
-
-    std::uint64_t work() const override { return 0; }
-    Store &store() override { return mirror_; }
-
-  private:
-    CompiledPartition &C;
-    Store &mirror_;
-};
-
-} // namespace
-
-namespace {
+constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
 
 /** Worker threads the config asks for (0 = one per core). */
 int
@@ -77,133 +64,481 @@ requestedThreads(const CosimConfig &cfg)
 
 } // namespace
 
+/**
+ * One domain's engine, the only code that runs its rules: the slice
+ * routines own time, channels, the driver and the horizon, and ask
+ * the executor only for the next step over the domain's Store. One
+ * implementation per way a domain runs: InterpretedSw, CompiledSw,
+ * ClockSimHw, CompiledHw, RemoteHw. A hardware executor picks its own
+ * burst from what it is: one cycle inline (reported cycle counts stay
+ * bit-stable), a few on a worker (amortizes channel polling), the
+ * whole window remote (a round trip per cycle would dominate); LIBDN
+ * makes each choice functionally invisible.
+ */
+class DomainExec
+{
+  public:
+    /** What one step did. */
+    struct Step
+    {
+        /** Software: a rule was tried (false = quiescent). Hardware:
+         *  the domain is still busy, so the slice keeps clocking past
+         *  its horizon until the pipelines drain. */
+        bool active = false;
+        bool fired = false;  ///< at least one rule fired
+        double cycles = 0;   ///< virtual time consumed, FPGA cycles
+    };
+
+    DomainExec() = default;
+    DomainExec(const DomainExec &) = delete;
+    DomainExec &operator=(const DomainExec &) = delete;
+    virtual ~DomainExec() = default;
+
+    /**
+     * Software: one scheduling step. Hardware: one clock burst;
+     * @p window (>= 1) is the number of cycles left before the
+     * horizon, which only a remote executor clocks in one go.
+     */
+    virtual Step step(std::uint64_t window) = 0;
+
+    /** Input arrived from outside the rules (delivery, driver call,
+     *  time advance): a quiescent scheduler must look again. */
+    virtual void poke() {}
+
+    /** The driver-facing port of a software domain; nullptr for
+     *  hardware. */
+    virtual SwPort *port() { return nullptr; }
+
+    /** The reference interpreter behind an interpreted domain
+     *  (software or ClockSim); nullptr when compiled or remote. */
+    virtual Interp *interp() { return nullptr; }
+
+    /** Hardware statistics; nullptr for software. */
+    virtual const HwStats *hwStats() { return nullptr; }
+
+    /** The shared object of a compiled software domain. */
+    virtual const CompiledPartition *swCompiled() { return nullptr; }
+
+    /** Release compiled-instance thread ownership (no-op otherwise). */
+    virtual void rebindThread() {}
+
+    /** Pid of a forked remote peer; -1 otherwise. */
+    virtual pid_t pid() { return -1; }
+};
+
+namespace {
+
+/** Hardware burst on a parallel worker: the worker clocks in
+ *  externally paced bursts and polls channels between them. */
+constexpr std::uint64_t kWorkerBurst = 8;
+
+/*
+ * The mirror sync: cycle-exactness across the ABI. With an
+ * interpreter a sync fifo is ONE queue that both the transport and
+ * the rules touch, so guards (canEnq/canDeq) see transport-side
+ * occupancy directly. A compiled instance keeps its own gen::Fifo
+ * behind the ABI while the transports keep talking to the mirror
+ * store — so before each step (a clock edge or burst, a software run
+ * to quiescence, a driver's method call; no channel activity happens
+ * inside one) in() projects the mirror's occupancy into the
+ * instance, and out() reconciles afterwards:
+ *
+ *   SyncRx (rules only dequeue): feed the mirror's messages in order
+ *   without removing them from the mirror. After the step, whatever
+ *   is left in the instance is a duplicate — drain and discard it;
+ *   the difference is how many the rules consumed, and that many are
+ *   popped off the mirror front. The mirror stays the full-occupancy
+ *   source of truth for the transport's credit checks.
+ *
+ *   SyncTx (rules only enqueue): the instance fifo is empty between
+ *   steps (we drain it fully), but the producer guard must see the
+ *   not-yet-delivered backlog or it would never feel backpressure
+ *   (cycle counts would diverge, and a software producer would grow
+ *   the mirror without bound). Prefill with one zero-valued dummy per
+ *   backlogged mirror entry, step, pop the dummies back off, and
+ *   append only the genuinely new messages to the mirror tail.
+ *
+ *   AudioDev: drained into the mirror, which keeps the interpreter's
+ *   cumulative device output (PrimState::queue).
+ *
+ * This relies on the same contract the interpreter enforces
+ * dynamically: rules never enqueue into a SyncRx, never dequeue from
+ * a SyncTx, and never clear a sync fifo. The prim plan is resolved
+ * once, at construction.
+ */
+template <class Inst>
+class MirrorSync
+{
+  public:
+    MirrorSync(Inst &inst, Store &mirror) : inst_(inst), mirror_(mirror)
+    {
+        for (const auto &prim : inst.program().prims) {
+            if (prim.kind == "SyncRx") {
+                rx_.push_back({prim.id, {}, 0});
+            } else if (prim.kind == "SyncTx") {
+                size_t nwords = static_cast<size_t>(
+                    (prim.type->flatWidth() + 31) / 32);
+                std::vector<std::uint32_t> zeros(nwords > 0 ? nwords : 1,
+                                                 0);
+                BitCursor cur(zeros.data(), zeros.size());
+                tx_.push_back({prim.id, prim.type->unpackWords(cur), 0});
+            } else if (prim.kind == "AudioDev") {
+                dev_.push_back(prim.id);
+            }
+        }
+    }
+
+    void
+    in()
+    {
+        for (auto &rx : rx_) {
+            const auto &queue = mirror_.at(rx.prim).queue;
+            rx.count = 0;
+            while (rx.count < queue.size() &&
+                   inst_.pushPrim(rx.prim, queue[rx.count]))
+                rx.count++;
+        }
+        for (auto &tx : tx_) {
+            const size_t backlog = mirror_.at(tx.prim).queue.size();
+            tx.count = 0;
+            while (tx.count < backlog && inst_.pushPrim(tx.prim, tx.zero))
+                tx.count++;
+        }
+    }
+
+    void
+    out()
+    {
+        Value v;
+        for (const auto &rx : rx_) {
+            size_t left = 0;
+            while (inst_.popPrim(rx.prim, v))
+                left++;
+            if (left > rx.count)
+                panic("cosim: compiled partition enqueued into SyncRx");
+            mirror_.at(rx.prim).queue.pop_front(rx.count - left);
+        }
+        for (const auto &tx : tx_) {
+            auto &queue = mirror_.at(tx.prim).queue;
+            for (size_t k = 0; k < tx.count; k++) {
+                if (!inst_.popPrim(tx.prim, v))
+                    panic("cosim: compiled partition consumed a SyncTx "
+                          "prefill");
+            }
+            while (inst_.popPrim(tx.prim, v))
+                queue.push_back(std::move(v));
+        }
+        for (int prim : dev_) {
+            auto &queue = mirror_.at(prim).queue;
+            while (inst_.popDevice(prim, v))
+                queue.push_back(std::move(v));
+        }
+    }
+
+  private:
+    struct SyncPrim
+    {
+        int prim;
+        Value zero;        ///< SyncTx prefill template
+        size_t count = 0;  ///< fed (SyncRx) / prefilled (SyncTx) by in()
+    };
+
+    Inst &inst_;
+    Store &mirror_;
+    std::vector<SyncPrim> rx_, tx_;
+    std::vector<int> dev_;
+};
+
+/** One clock burst: a single edge when paced per cycle, else an
+ *  externally paced burst that stops early once idle. */
+template <class Sim>
+DomainExec::Step
+clockBurst(Sim &sim, std::uint64_t burst)
+{
+    if (burst == 1) {
+        bool fired = sim.cycle() > 0;
+        return {fired, fired, 1.0};
+    }
+    std::uint64_t fired = 0;
+    std::uint64_t used = sim.stepCycles(burst, fired);
+    return {!sim.idle(), fired > 0, static_cast<double>(used)};
+}
+
+class InterpretedSw final : public DomainExec, public SwPort
+{
+  public:
+    InterpretedSw(const ElabProgram &prog, Store &store,
+                  const CostModel &costs, SwStrategy strategy,
+                  double cycles_per_work)
+        : I(prog, store), engine(I, strategy),
+          cyclesPerWork(cycles_per_work)
+    {
+        I.costs() = costs;
+    }
+
+    Step
+    step(std::uint64_t) override
+    {
+        StepResult r = engine.step();
+        return {r.rule >= 0, r.fired,
+                static_cast<double>(r.workDelta) * cyclesPerWork};
+    }
+
+    void poke() override { engine.poke(); }
+    SwPort *port() override { return this; }
+    Interp *interp() override { return &I; }
+
+    bool
+    callActionMethod(int meth_id,
+                     const std::vector<Value> &args) override
+    {
+        return I.callActionMethod(meth_id, args);
+    }
+
+    std::uint64_t work() const override { return I.stats().work; }
+    Store &store() override { return I.store(); }
+
+  private:
+    Interp I;
+    RuleEngine engine;
+    double cyclesPerWork;
+};
+
+class CompiledSw final : public DomainExec, public SwPort
+{
+  public:
+    CompiledSw(std::shared_ptr<const CompiledArtifact> artifact,
+               Store &mirror, double cycles_per_firing)
+        : C(std::move(artifact)), mirror_(mirror), sync(C, mirror),
+          cyclesPerFiring(cycles_per_firing)
+    {
+    }
+
+    Step
+    step(std::uint64_t) override
+    {
+        sync.in();
+        std::uint64_t fired = C.runToQuiescence();
+        sync.out();
+        return {fired > 0, fired > 0,
+                static_cast<double>(fired) * cyclesPerFiring};
+    }
+
+    SwPort *port() override { return this; }
+    const CompiledPartition *swCompiled() override { return &C; }
+    void rebindThread() override { C.rebindThread(); }
+
+    /** Inside the sync bracket: a method enqueuing into a SyncTx sees
+     *  the undelivered backlog, exactly as the interpreter's guard. */
+    bool
+    callActionMethod(int meth_id,
+                     const std::vector<Value> &args) override
+    {
+        sync.in();
+        bool ok = C.callActionMethod(meth_id, args);
+        sync.out();
+        return ok;
+    }
+
+    /** Compiled code models no work; drivers fall back to their own
+     *  per-call estimate. */
+    std::uint64_t work() const override { return 0; }
+    Store &store() override { return mirror_; }
+
+  private:
+    CompiledPartition C;
+    Store &mirror_;
+    MirrorSync<CompiledPartition> sync;
+    double cyclesPerFiring;
+};
+
+class ClockSimHw final : public DomainExec
+{
+  public:
+    ClockSimHw(const ElabProgram &prog, Store &store, bool on_worker)
+        : sim(prog, store), burst(on_worker ? kWorkerBurst : 1)
+    {
+    }
+
+    Step
+    step(std::uint64_t) override
+    {
+        return clockBurst(sim, burst);
+    }
+
+    Interp *interp() override { return &sim.interp(); }
+    const HwStats *hwStats() override { return &sim.stats(); }
+
+  private:
+    ClockSim sim;
+    std::uint64_t burst;
+};
+
+class CompiledHw final : public DomainExec
+{
+  public:
+    CompiledHw(std::shared_ptr<const CompiledArtifact> artifact,
+               Store &mirror, bool on_worker)
+        : hw(std::move(artifact)), sync(hw, mirror),
+          burst(on_worker ? kWorkerBurst : 1)
+    {
+    }
+
+    Step
+    step(std::uint64_t) override
+    {
+        sync.in();
+        Step s = clockBurst(hw, burst);
+        sync.out();
+        return s;
+    }
+
+    const HwStats *hwStats() override { return &hw.stats(); }
+    void rebindThread() override { hw.rebindThread(); }
+
+  private:
+    CompiledHwPartition hw;
+    MirrorSync<CompiledHwPartition> sync;
+    std::uint64_t burst;
+};
+
+/**
+ * A hardware domain in another process: staged SyncRx messages are
+ * shipped to the partition host, which clocks its ClockSim for up to
+ * the whole window (stopping early when idle: no new input can arrive
+ * mid-slice); produced SyncTx/device messages come back into the
+ * mirror where the transports pick them up. The host is budget-based
+ * and stateless w.r.t. absolute time — CoSim owns the clock.
+ */
+class RemoteHw final : public DomainExec
+{
+  public:
+    RemoteHw(std::unique_ptr<RemoteHwPartition> r, Store &mirror)
+        : remote(std::move(r)), mirror_(mirror)
+    {
+    }
+
+    Step
+    step(std::uint64_t window) override
+    {
+        remote->shipInputs(mirror_);
+        RemoteHwPartition::SliceResult r =
+            remote->runSlice(mirror_, window);
+        return {r.active, r.fired > 0, static_cast<double>(r.consumed)};
+    }
+
+    const HwStats *hwStats() override { return &remote->stats(); }
+    pid_t pid() override { return remote->childPid(); }
+
+  private:
+    std::unique_ptr<RemoteHwPartition> remote;
+    Store &mirror_;
+};
+
+} // namespace
+
+CoSim::~CoSim() = default;
+
 CoSim::CoSim(const PartitionResult &parts, CosimConfig config)
     : cfg(std::move(config))
 {
+    // Every domain the config names must exist: a typo such as
+    // transports["HWX"] would otherwise silently run in-thread.
+    auto requireDomains = [&parts](const auto &by_domain,
+                                   const char *field) {
+        for (const auto &entry : by_domain) {
+            auto named = [&](const PartitionPart &p) {
+                return p.domain == entry.first;
+            };
+            if (std::none_of(parts.parts.begin(), parts.parts.end(),
+                             named))
+                fatal(std::string("CosimConfig::") + field +
+                      " names domain '" + entry.first +
+                      "', which this partitioning does not have");
+        }
+    };
+    requireDomains(cfg.kinds, "kinds");
+    requireDomains(cfg.transports, "transports");
+    requireDomains(cfg.remoteEndpoints, "remoteEndpoints");
+
     // Software domains always run in-thread — host drivers call into
     // them directly — so defaultTransport only moves HARDWARE domains
     // out of process; naming a software domain in the per-domain
     // override map is a configuration error.
-    auto effectiveTransport = [this](const std::string &dom) {
-        if (cfg.kindOf(dom) == DomainKind::Software) {
-            auto it = cfg.transports.find(dom);
-            if (it != cfg.transports.end() &&
-                it->second != TransportKind::InThread)
-                fatal("CosimConfig: software domain '" + dom +
-                      "' cannot run remotely — host drivers call "
-                      "into it directly; only Hardware domains may "
-                      "use SharedMem/Tcp transports");
-            return TransportKind::InThread;
-        }
-        return cfg.transportOf(dom);
+    for (const auto &[dom, tk] : cfg.transports) {
+        if (cfg.kindOf(dom) == DomainKind::Software &&
+            tk != TransportKind::InThread)
+            fatal("CosimConfig: software domain '" + dom +
+                  "' cannot run remotely — host drivers call into it "
+                  "directly; only Hardware domains may use "
+                  "SharedMem/Tcp transports");
+    }
+    auto where = [this](const std::string &dom) {
+        return cfg.kindOf(dom) == DomainKind::Software
+                   ? TransportKind::InThread
+                   : cfg.transportOf(dom);
     };
+    for (const auto &entry : cfg.remoteEndpoints) {
+        if (where(entry.first) != TransportKind::Tcp)
+            fatal("CosimConfig::remoteEndpoints names domain '" +
+                  entry.first + "', whose transport is not Tcp");
+    }
 
     // Parallel execution needs at least two domains to overlap; with
-    // one domain (or threads == 1) the exact sequential loop runs and
-    // transports stay in their historical direct-read credit mode.
-    // Remote transports force the sequential engine: the coordinator
-    // relays slices synchronously, and the transports must keep their
-    // direct-read credit mode over the mirror stores.
-    bool any_remote = false;
-    for (const auto &part : parts.parts) {
-        if (effectiveTransport(part.domain) != TransportKind::InThread)
-            any_remote = true;
-    }
+    // one domain (or threads == 1) every slice runs inline and
+    // transports stay in their direct-read credit mode. Remote
+    // transports force inline slicing too: the coordinator relays
+    // slices synchronously over the mirror stores.
+    bool any_remote = std::any_of(
+        parts.parts.begin(), parts.parts.end(),
+        [&](const PartitionPart &p) {
+            return where(p.domain) != TransportKind::InThread;
+        });
     parallel_ = requestedThreads(cfg) > 1 && parts.parts.size() > 1 &&
                 !any_remote;
 
-    for (const auto &part : parts.parts) {
-        if (cfg.kindOf(part.domain) == DomainKind::Software) {
-            SwProc p;
-            p.domain = part.domain;
-            p.store = std::make_unique<Store>(part.prog);
-            p.interp = std::make_unique<Interp>(part.prog, *p.store);
-            p.interp->costs() = cfg.swCosts;
-            p.engine =
-                std::make_unique<RuleEngine>(*p.interp, cfg.swStrategy);
-            if (cfg.swBackend == SwBackend::Compiled) {
-                GenccOptions opts;
-                opts.mode = cfg.swGenMode;
-                if (cfg.swArtifact) {
-                    if (!swProcs.empty())
-                        fatal("CosimConfig::swArtifact is "
-                              "per-partition; this PartitionResult "
-                              "has multiple software domains — use "
-                              "compileProvider instead");
-                    p.compiled = std::make_unique<CompiledPartition>(
-                        cfg.swArtifact);
-                } else if (cfg.compileProvider) {
-                    p.compiled = std::make_unique<CompiledPartition>(
-                        cfg.compileProvider(part.prog, opts));
-                } else {
-                    p.compiled = std::make_unique<CompiledPartition>(
-                        part.prog, opts);
-                }
-            }
-            swProcs.push_back(std::move(p));
-        } else {
-            HwProc p;
-            p.domain = part.domain;
-            p.store = std::make_unique<Store>(part.prog);
-            TransportKind tk = effectiveTransport(part.domain);
-            if (tk != TransportKind::InThread) {
-                // Remote domain: the child owns the simulator
-                // (always the interpreted ClockSim — cycle-exact
-                // against the compiled edge); this store becomes the
-                // channel-facing mirror the relay feeds and drains.
+    const double ratio = cfg.platform.cpuClockRatio;
+    for (DomainKind kind : {DomainKind::Software, DomainKind::Hardware}) {
+        for (const auto &part : parts.parts) {
+            if (cfg.kindOf(part.domain) != kind)
+                continue;
+            Domain d;
+            d.name = part.domain;
+            d.kind = kind;
+            d.store = std::make_unique<Store>(part.prog);
+            Store &store = *d.store;
+            if (kind == DomainKind::Software &&
+                cfg.swBackend == SwBackend::Compiled) {
+                d.exec = std::make_unique<CompiledSw>(
+                    artifactFor(part, kind), store,
+                    kSwCompiledCyclesPerFiring / ratio);
+            } else if (kind == DomainKind::Software) {
+                d.exec = std::make_unique<InterpretedSw>(
+                    part.prog, store, cfg.swCosts, kSwStrategy,
+                    kSwCyclesPerWork / ratio);
+            } else if (where(part.domain) != TransportKind::InThread) {
+                // The child owns the simulator (always the interpreted
+                // ClockSim — cycle-exact against the compiled edge).
                 RemoteOptions ropts;
                 ropts.timeoutMs = cfg.transportTimeoutMs;
                 ropts.traced = cfg.trace;
                 auto ep = cfg.remoteEndpoints.find(part.domain);
-                if (tk == TransportKind::Tcp &&
-                    ep != cfg.remoteEndpoints.end()) {
-                    p.remote = std::make_unique<RemoteHwPartition>(
-                        part.prog, ep->second, part.domain, ropts);
-                } else {
-                    p.remote = std::make_unique<RemoteHwPartition>(
-                        part.prog, tk, part.domain, ropts);
-                }
-                hwProcs.push_back(std::move(p));
-                continue;
-            }
-            if (cfg.hwBackend == HwBackend::Compiled) {
-                GenccOptions opts;
-                opts.mode = cfg.swGenMode;
-                if (cfg.compileProvider) {
-                    p.compiled =
-                        std::make_unique<CompiledHwPartition>(
-                            cfg.compileProvider(part.prog, opts));
-                } else {
-                    p.compiled =
-                        std::make_unique<CompiledHwPartition>(
-                            part.prog, opts);
-                }
-                // Resolve the marshaling plan once: which prims carry
-                // messages across the domain boundary, and a zero
-                // template per SyncTx for the occupancy prefill.
-                for (const auto &prim : part.prog.prims) {
-                    if (prim.kind == "SyncRx") {
-                        p.rxPrims.push_back(prim.id);
-                    } else if (prim.kind == "SyncTx") {
-                        p.txPrims.push_back(prim.id);
-                        size_t nwords = static_cast<size_t>(
-                            (prim.type->flatWidth() + 31) / 32);
-                        std::vector<std::uint32_t> zeros(
-                            nwords > 0 ? nwords : 1, 0);
-                        BitCursor cur(zeros.data(), zeros.size());
-                        p.txZero.push_back(
-                            prim.type->unpackWords(cur));
-                    } else if (prim.kind == "AudioDev") {
-                        p.devPrims.push_back(prim.id);
-                    }
-                }
-                p.rxFed.assign(p.rxPrims.size(), 0);
-                p.txPre.assign(p.txPrims.size(), 0);
+                d.exec = std::make_unique<RemoteHw>(
+                    ep != cfg.remoteEndpoints.end()
+                        ? std::make_unique<RemoteHwPartition>(
+                              part.prog, ep->second, part.domain, ropts)
+                        : std::make_unique<RemoteHwPartition>(
+                              part.prog, where(part.domain), part.domain,
+                              ropts),
+                    store);
+            } else if (cfg.hwBackend == HwBackend::Compiled) {
+                d.exec = std::make_unique<CompiledHw>(
+                    artifactFor(part, kind), store, parallel_);
             } else {
-                p.sim =
-                    std::make_unique<ClockSim>(part.prog, *p.store);
+                d.exec = std::make_unique<ClockSimHw>(part.prog, store,
+                                                      parallel_);
             }
-            hwProcs.push_back(std::move(p));
+            domains_.push_back(std::move(d));
         }
     }
 
@@ -226,12 +561,43 @@ CoSim::CoSim(const PartitionResult &parts, CosimConfig config)
     }
 }
 
+/** The compiled artifact of @p part: the pre-resolved swArtifact for
+ *  software, else compileProvider's, else a private compile. */
+std::shared_ptr<const CompiledArtifact>
+CoSim::artifactFor(const PartitionPart &part, DomainKind kind) const
+{
+    if (kind == DomainKind::Software && cfg.swArtifact) {
+        // Software domains are built first, so any domain already
+        // built is another software domain.
+        if (!domains_.empty())
+            fatal("CosimConfig::swArtifact is per-partition; this "
+                  "PartitionResult has multiple software domains — use "
+                  "compileProvider instead");
+        return cfg.swArtifact;
+    }
+    GenccOptions opts;
+    opts.mode = cfg.swGenMode;
+    if (cfg.compileProvider)
+        return cfg.compileProvider(part.prog, opts);
+    return std::make_shared<const CompiledArtifact>(part.prog, opts);
+}
+
+const CoSim::Domain *
+CoSim::find(const std::string &name) const
+{
+    for (const auto &d : domains_) {
+        if (d.name == name)
+            return &d;
+    }
+    return nullptr;
+}
+
 void
 CoSim::setDriver(const std::string &domain, SwDriver driver)
 {
-    for (auto &p : swProcs) {
-        if (p.domain == domain) {
-            p.driver = std::move(driver);
+    for (auto &d : domains_) {
+        if (d.name == domain && d.kind == DomainKind::Software) {
+            d.driver = std::move(driver);
             return;
         }
     }
@@ -241,82 +607,57 @@ CoSim::setDriver(const std::string &domain, SwDriver driver)
 Store &
 CoSim::storeOf(const std::string &domain)
 {
-    for (auto &p : swProcs) {
-        if (p.domain == domain)
-            return *p.store;
-    }
-    for (auto &p : hwProcs) {
-        if (p.domain == domain)
-            return *p.store;
-    }
+    if (const Domain *d = find(domain))
+        return *d->store;
     panic("storeOf: no domain '" + domain + "'");
 }
 
 Interp &
 CoSim::swInterp(const std::string &domain)
 {
-    for (auto &p : swProcs) {
-        if (p.domain == domain)
-            return *p.interp;
-    }
-    panic("swInterp: no software domain '" + domain + "'");
+    const Domain *d = find(domain);
+    if (!d || d->kind != DomainKind::Software)
+        panic("swInterp: no software domain '" + domain + "'");
+    if (Interp *I = d->exec->interp())
+        return *I;
+    panic("swInterp: software domain '" + domain +
+          "' runs compiled; use swCompiled()");
 }
 
 const CompiledPartition *
 CoSim::swCompiled(const std::string &domain) const
 {
-    for (const auto &p : swProcs) {
-        if (p.domain == domain)
-            return p.compiled.get();
-    }
-    return nullptr;
+    const Domain *d = find(domain);
+    return d ? d->exec->swCompiled() : nullptr;
 }
 
 const HwStats *
 CoSim::hwStats(const std::string &domain) const
 {
-    for (const auto &p : hwProcs) {
-        if (p.domain == domain) {
-            if (p.remote)
-                return &p.remote->stats();
-            return p.compiled ? &p.compiled->stats()
-                              : &p.sim->stats();
-        }
-    }
-    return nullptr;
+    const Domain *d = find(domain);
+    return d ? d->exec->hwStats() : nullptr;
 }
 
 pid_t
 CoSim::remotePid(const std::string &domain) const
 {
-    for (const auto &p : hwProcs) {
-        if (p.domain == domain && p.remote)
-            return p.remote->childPid();
-    }
-    return -1;
+    const Domain *d = find(domain);
+    return d ? d->exec->pid() : -1;
 }
 
 void
 CoSim::rebindCompiledThreads()
 {
-    for (auto &p : swProcs) {
-        if (p.compiled)
-            p.compiled->rebindThread();
-    }
-    for (auto &p : hwProcs) {
-        if (p.compiled)
-            p.compiled->rebindThread();
-    }
+    for (auto &d : domains_)
+        d.exec->rebindThread();
 }
 
 std::uint64_t
 CoSim::now() const
 {
     double t = 0;
-    for (const auto &p : swProcs)
-        t = std::max(t, p.time);
-    for (const auto &p : hwProcs)
-        t = std::max(t, static_cast<double>(p.time));
+    for (const auto &d : domains_)
+        t = std::max(t, d.time);
     return static_cast<std::uint64_t>(t);
 }
 
@@ -324,8 +665,10 @@ std::uint64_t
 CoSim::swWork() const
 {
     std::uint64_t w = 0;
-    for (const auto &p : swProcs)
-        w += p.interp->stats().work;
+    for (const auto &d : domains_) {
+        if (const SwPort *port = d.exec->port())
+            w += port->work();
+    }
     return w;
 }
 
@@ -335,18 +678,15 @@ CoSim::snapshotMetrics(obs::MetricsRegistry &reg) const
     reg.gauge("cosim.fpga_cycles")
         .set(static_cast<double>(now()));
     reg.gauge("cosim.sw_work").set(static_cast<double>(swWork()));
-    for (const auto &p : swProcs) {
-        reg.gauge("cosim.domain." + p.domain + ".cycles")
-            .set(p.time);
-    }
-    for (const auto &p : hwProcs) {
-        const std::string base = "cosim.domain." + p.domain;
-        reg.gauge(base + ".cycles").set(static_cast<double>(p.time));
-        if (!p.sim)
+    for (const auto &d : domains_) {
+        const std::string base = "cosim.domain." + d.name;
+        reg.gauge(base + ".cycles").set(d.time);
+        // Interpreted domains also publish how many rule attempts
+        // their interpreter made and how many failed.
+        const Interp *I = d.exec->interp();
+        if (!I)
             continue;
-        // Interpreted (ClockSim) domains also publish how many rule
-        // attempts their interpreter made and how many failed.
-        const ExecStats &st = p.sim->interp().stats();
+        const ExecStats &st = I->stats();
         reg.gauge(base + ".rules_attempted")
             .set(static_cast<double>(st.rulesAttempted));
         reg.gauge(base + ".guard_fails")
@@ -408,7 +748,7 @@ CoSim::deliverTo(const std::string &domain, std::uint64_t time)
 std::uint64_t
 CoSim::nextChannelEvent() const
 {
-    std::uint64_t next = std::numeric_limits<std::uint64_t>::max();
+    std::uint64_t next = kNever;
     for (const auto &t : transports)
         next = std::min(next, t->nextEventAt());
     return next;
@@ -417,468 +757,128 @@ CoSim::nextChannelEvent() const
 std::uint64_t
 CoSim::nextDeliveryTo(const std::string &domain) const
 {
-    std::uint64_t next = std::numeric_limits<std::uint64_t>::max();
+    std::uint64_t next = kNever;
     for (const auto &t : transports) {
         if (t->spec().toDomain != domain)
             continue;
         // Mid-epoch a worker may only read its own (consumer) end of
-        // the transport; the sequential loop keeps the historical
-        // both-ends view, deferred pickups included.
+        // the transport; inline slicing keeps the both-ends view,
+        // deferred pickups included.
         next = std::min(next, parallel_ ? t->nextArrivalAt()
                                         : t->nextEventAt());
     }
     return next;
 }
 
-/**
- * Try the host driver once; true when it made progress. The driver
- * sees the domain through a backend-appropriate SwPort.
- */
 bool
-CoSim::tryDriver(SwProc &sw, double work_to_cycles)
+CoSim::slice(Domain &d)
 {
-    if (!sw.driver.step || sw.driverBlocked)
-        return false;
-    std::uint64_t w = 0;
-    if (sw.compiled) {
-        CompiledPort port(*sw.compiled, *sw.store);
-        w = sw.driver.step(port);
-    } else {
-        InterpPort port(*sw.interp);
-        w = sw.driver.step(port);
-    }
-    if (w > 0) {
-        sw.time += static_cast<double>(w) * work_to_cycles;
-        sw.engine->poke();
-        return true;
-    }
-    sw.driverBlocked = true;
-    return false;
+    // One span per domain slice, inline or on a worker: the trace
+    // shows which domain (and which thread) each stretch of cosim
+    // time went to.
+    obs::TraceSpan span(d.name.c_str(), "cosim.slice", cfg.trace);
+    return d.kind == DomainKind::Software ? sliceSoftware(d)
+                                          : sliceHardware(d);
 }
 
 bool
-CoSim::sliceSoftware(SwProc &sw)
+CoSim::sliceSoftware(Domain &d)
 {
-    if (sw.compiled)
-        return sliceSoftwareCompiled(sw);
-
-    const double work_to_cycles =
-        cfg.swCyclesPerWork / cfg.platform.cpuClockRatio;
     bool progress = false;
     int fired = 0;
-    while (fired < cfg.swQuantum) {
+    while (fired < kSwQuantum) {
         // Re-pump on every step: a transfer deferred for credits must
         // start as soon as the consumer drains, even if no further
         // producer-side rule fires.
-        pumpFrom(sw.domain, static_cast<std::uint64_t>(sw.time));
-        if (deliverTo(sw.domain,
-                      static_cast<std::uint64_t>(sw.time))) {
-            sw.engine->poke();
-            sw.driverBlocked = false;
+        pumpFrom(d.name, static_cast<std::uint64_t>(d.time));
+        if (deliverTo(d.name, static_cast<std::uint64_t>(d.time))) {
+            d.exec->poke();
+            d.driverBlocked = false;
         }
-        StepResult r = sw.engine->step();
-        if (r.rule >= 0) {
-            sw.time += static_cast<double>(r.workDelta) *
-                       work_to_cycles;
-            if (r.fired) {
+        DomainExec::Step s = d.exec->step(0);
+        if (s.active) {
+            d.time += s.cycles;
+            if (s.fired) {
                 fired++;
                 progress = true;
-                pumpFrom(sw.domain,
-                         static_cast<std::uint64_t>(sw.time));
+                pumpFrom(d.name, static_cast<std::uint64_t>(d.time));
             }
             continue;
         }
-        // Engine quiescent: try the host driver once.
-        if (tryDriver(sw, work_to_cycles)) {
-            progress = true;
-            pumpFrom(sw.domain, static_cast<std::uint64_t>(sw.time));
-            continue;
-        }
-        break;
-    }
-    return progress;
-}
-
-bool
-CoSim::feedCompiledInputs(SwProc &sw)
-{
-    bool moved = false;
-    const ElabProgram &prog = sw.interp->program();
-    for (const auto &prim : prog.prims) {
-        if (prim.kind != "SyncRx")
-            continue;
-        auto &queue = sw.store->at(prim.id).queue;
-        // Move what the compiled FIFO accepts; leave the rest staged
-        // in the mirror (occupancy splits across the two, so the
-        // credit check on the mirror stays conservative enough —
-        // LIBDN buffering is functionally transparent anyway).
-        size_t accepted = 0;
-        while (accepted < queue.size() &&
-               sw.compiled->pushPrim(prim.id, queue[accepted]))
-            accepted++;
-        if (accepted > 0) {
-            queue.pop_front(accepted);
-            moved = true;
-        }
-    }
-    return moved;
-}
-
-bool
-CoSim::drainCompiledOutputs(SwProc &sw)
-{
-    bool moved = false;
-    const ElabProgram &prog = sw.interp->program();
-    Value v;
-    for (const auto &prim : prog.prims) {
-        if (prim.kind == "SyncTx") {
-            while (sw.compiled->popPrim(prim.id, v)) {
-                sw.store->at(prim.id).queue.push_back(std::move(v));
-                moved = true;
-            }
-        } else if (prim.kind == "AudioDev") {
-            // Devices accumulate in the mirror store so the
-            // test-visible output (PrimState::queue) keeps the
-            // interpreter's cumulative semantics.
-            while (sw.compiled->popDevice(prim.id, v)) {
-                sw.store->at(prim.id).queue.push_back(std::move(v));
-                moved = true;
-            }
-        }
-    }
-    return moved;
-}
-
-/**
- * One slice of a compiled software domain: deliveries land in the
- * mirror store, get fed through the marshaled ABI into the shared
- * object's synchronizer halves, the generated static schedule runs to
- * quiescence, and produced messages/device outputs are drained back
- * into the mirror where the channel transports pick them up.
- */
-bool
-CoSim::sliceSoftwareCompiled(SwProc &sw)
-{
-    const double work_to_cycles =
-        cfg.swCyclesPerWork / cfg.platform.cpuClockRatio;
-    const double cycles_per_firing =
-        cfg.swCompiledCyclesPerFiring / cfg.platform.cpuClockRatio;
-    bool progress = false;
-    for (int iter = 0; iter < cfg.swQuantum; iter++) {
-        pumpFrom(sw.domain, static_cast<std::uint64_t>(sw.time));
-        if (deliverTo(sw.domain,
-                      static_cast<std::uint64_t>(sw.time))) {
-            sw.driverBlocked = false;
-        }
-        bool fed = feedCompiledInputs(sw);
-        std::uint64_t fired = sw.compiled->runToQuiescence();
-        bool drained = drainCompiledOutputs(sw);
-        if (fired > 0) {
-            sw.time += static_cast<double>(fired) * cycles_per_firing;
-            progress = true;
-        }
-        if (drained)
-            pumpFrom(sw.domain, static_cast<std::uint64_t>(sw.time));
-        if (fired > 0 || fed)
-            continue;
-        // Quiescent: one driver attempt, then yield the slice.
-        if (tryDriver(sw, work_to_cycles)) {
-            progress = true;
-            continue;
-        }
-        break;
-    }
-    return progress;
-}
-
-/**
- * One slice of a remote hardware domain — the hwSyncIn/hwSyncOut
- * mirror pattern stretched over a process boundary. Deliveries land
- * in the mirror store as usual; staged SyncRx messages are shipped
- * to the partition host; the host clocks its ClockSim for up to
- * (horizon - hw.time) cycles, stopping early when idle (no new input
- * can arrive mid-slice); produced SyncTx/device messages come back
- * into the mirror where the transports pick them up. The child is
- * budget-based and stateless w.r.t. absolute time — the parent owns
- * the clock (hw.time += consumed), so quiescence-advance needs no
- * special casing. Timing differs from the in-thread loop (whole
- * slices instead of cycle-by-cycle polling); LIBDN makes that
- * functionally invisible, the same license threads > 1 uses.
- */
-bool
-CoSim::sliceHardwareRemote(HwProc &hw, std::uint64_t horizon)
-{
-    bool progress = false;
-    bool active = true;
-    while (hw.time < horizon || active) {
-        pumpFrom(hw.domain, hw.time);
-        if (deliverTo(hw.domain, hw.time))
-            progress = true;
-        hw.remote->shipInputs(*hw.store);
-        std::uint64_t budget =
-            horizon > hw.time ? horizon - hw.time : 1;
-        RemoteHwPartition::SliceResult r =
-            hw.remote->runSlice(*hw.store, budget);
-        hw.time += r.consumed;
-        active = r.active;
-        if (r.fired > 0) {
-            progress = true;
-            pumpFrom(hw.domain, hw.time);
-            continue;
-        }
-        if (hw.time >= horizon)
+        // Executor quiescent: try the host driver once.
+        if (!d.driver.step || d.driverBlocked)
             break;
-        // Idle inside the horizon: jump to the next delivery
-        // addressed to us (or stop) — mirrors the local slice.
-        std::uint64_t next = nextDeliveryTo(hw.domain);
-        if (next == std::numeric_limits<std::uint64_t>::max() ||
-            next >= horizon) {
+        std::uint64_t w = d.driver.step(*d.exec->port());
+        if (w == 0) {
+            d.driverBlocked = true;
             break;
         }
-        hw.time = std::max(hw.time, next);
+        d.time += static_cast<double>(w) *
+                  (kSwCyclesPerWork / cfg.platform.cpuClockRatio);
+        d.exec->poke();
+        progress = true;
+        pumpFrom(d.name, static_cast<std::uint64_t>(d.time));
     }
     return progress;
 }
 
 bool
-CoSim::sliceHardware(HwProc &hw, std::uint64_t horizon)
+CoSim::sliceHardware(Domain &d)
 {
-    if (hw.remote)
-        return sliceHardwareRemote(hw, horizon);
-
-    // Parallel mode amortizes per-cycle overhead: the worker clocks
-    // the simulator in externally paced bursts (ClockSim::stepCycles)
-    // and polls channels between bursts. Observing a delivery a few
-    // cycles late is yet another link-timing perturbation, which
-    // LIBDN makes functionally invisible; the sequential engine keeps
-    // the historical cycle-by-cycle polling so its reported cycle
-    // counts stay bit-stable.
-    constexpr std::uint64_t kHwBurst = 8;
-
+    auto t = static_cast<std::uint64_t>(d.time);
     bool progress = false;
-    // The slice always attempts at least one cycle, and an *active*
+    // The slice always attempts at least one step, and an *active*
     // partition keeps clocking past the horizon until its internal
     // pipelines drain - hardware does not stop because software has
     // nothing to say to it.
     bool active = true;
-    while (hw.time < horizon || active) {
-        pumpFrom(hw.domain, hw.time);
-        if (deliverTo(hw.domain, hw.time))
+    while (t < horizon_ || active) {
+        pumpFrom(d.name, t);
+        if (deliverTo(d.name, t))
             progress = true;
-        if (hw.compiled)
-            hwSyncIn(hw);
-        std::uint64_t fired = 0;
-        if (parallel_) {
-            hw.time += hw.compiled
-                           ? hw.compiled->stepCycles(kHwBurst, fired)
-                           : hw.sim->stepCycles(kHwBurst, fired);
-            active = hw.compiled ? !hw.compiled->idle()
-                                 : !hw.sim->idle();
-        } else {
-            fired = static_cast<std::uint64_t>(
-                hw.compiled ? hw.compiled->cycle() : hw.sim->cycle());
-            hw.time++;
-            active = fired > 0;
-        }
-        if (hw.compiled)
-            hwSyncOut(hw);
-        if (fired > 0) {
+        DomainExec::Step s = d.exec->step(horizon_ > t ? horizon_ - t : 1);
+        t += static_cast<std::uint64_t>(s.cycles);
+        active = s.active;
+        if (s.fired) {
             progress = true;
-            pumpFrom(hw.domain, hw.time);
+            pumpFrom(d.name, t);
             continue;
         }
-        if (hw.time >= horizon)
+        if (t >= horizon_)
             break;
         // Idle inside the horizon: jump to the next delivery
         // addressed to us (or stop).
-        std::uint64_t next = nextDeliveryTo(hw.domain);
-        if (next == std::numeric_limits<std::uint64_t>::max() ||
-            next >= horizon) {
+        std::uint64_t next = nextDeliveryTo(d.name);
+        if (next == kNever || next >= horizon_)
             break;
-        }
-        hw.time = std::max(hw.time, next);
+        t = std::max(t, next);
     }
+    d.time = static_cast<double>(t);
     return progress;
 }
 
-/*
- * Cycle-exactness across the ABI. With the interpreted backend a
- * sync fifo is ONE queue that both the transport and the rules touch,
- * so guards (canEnq/canDeq) see transport-side occupancy directly.
- * The compiled instance keeps its own gen::Fifo behind the ABI, and
- * the transports keep talking to the mirror store — so before each
- * cycle (or burst; no channel activity happens mid-burst) we project
- * the mirror's occupancy into the instance, and reconcile afterwards:
- *
- *   SyncRx (rules only dequeue): feed the mirror's messages in order
- *   without removing them from the mirror. After the cycle, whatever
- *   is left in the instance is a duplicate — drain and discard it;
- *   the difference is how many the rules consumed, and that many are
- *   popped off the mirror front. The mirror stays the full-occupancy
- *   source of truth for the transport's credit checks.
- *
- *   SyncTx (rules only enqueue): the instance fifo is empty between
- *   cycles (we drain it fully), but the producer guard must see the
- *   not-yet-delivered backlog or it would never feel backpressure and
- *   cycle counts would diverge. Prefill with one zero-valued dummy
- *   per backlogged mirror entry, cycle, pop the dummies back off, and
- *   append only the genuinely new messages to the mirror tail.
- *
- * This relies on the same contract the interpreter enforces
- * dynamically: rules never enqueue into a SyncRx, never dequeue from
- * a SyncTx, and never clear a sync fifo.
- */
-void
-CoSim::hwSyncIn(HwProc &hw)
-{
-    for (size_t i = 0; i < hw.rxPrims.size(); i++) {
-        const auto &queue = hw.store->at(hw.rxPrims[i]).queue;
-        int fed = 0;
-        while (fed < static_cast<int>(queue.size()) &&
-               hw.compiled->pushPrim(hw.rxPrims[i],
-                                     queue[static_cast<size_t>(fed)]))
-            fed++;
-        hw.rxFed[i] = fed;
-    }
-    for (size_t i = 0; i < hw.txPrims.size(); i++) {
-        const auto &queue = hw.store->at(hw.txPrims[i]).queue;
-        int pre = 0;
-        while (pre < static_cast<int>(queue.size()) &&
-               hw.compiled->pushPrim(hw.txPrims[i], hw.txZero[i]))
-            pre++;
-        hw.txPre[i] = pre;
-    }
-}
-
-void
-CoSim::hwSyncOut(HwProc &hw)
-{
-    Value v;
-    for (size_t i = 0; i < hw.rxPrims.size(); i++) {
-        int rem = 0;
-        while (hw.compiled->popPrim(hw.rxPrims[i], v))
-            rem++;
-        int consumed = hw.rxFed[i] - rem;
-        if (consumed < 0)
-            panic("cosim: compiled hardware enqueued into SyncRx");
-        hw.store->at(hw.rxPrims[i])
-            .queue.pop_front(static_cast<size_t>(consumed));
-    }
-    for (size_t i = 0; i < hw.txPrims.size(); i++) {
-        auto &queue = hw.store->at(hw.txPrims[i]).queue;
-        for (int k = 0; k < hw.txPre[i]; k++) {
-            if (!hw.compiled->popPrim(hw.txPrims[i], v))
-                panic("cosim: compiled hardware consumed a SyncTx "
-                      "prefill");
-        }
-        while (hw.compiled->popPrim(hw.txPrims[i], v))
-            queue.push_back(std::move(v));
-    }
-    for (size_t i = 0; i < hw.devPrims.size(); i++) {
-        auto &queue = hw.store->at(hw.devPrims[i]).queue;
-        while (hw.compiled->popDevice(hw.devPrims[i], v))
-            queue.push_back(std::move(v));
-    }
-}
-
 std::uint64_t
-CoSim::run(const std::function<bool(CoSim &)> &done)
+CoSim::hwHorizon() const
 {
-    return parallel_ ? runParallel(done) : runSequential(done);
-}
-
-std::uint64_t
-CoSim::runSequential(const std::function<bool(CoSim &)> &done)
-{
-    while (!done(*this)) {
-        if (now() > cfg.maxFpgaCycles)
-            fatal("co-simulation exceeded maxFpgaCycles");
-
-        bool progress = false;
-
-        // Same per-domain slice spans as the parallel workers emit,
-        // so a serving session's timeline shows which domain each
-        // stretch of cosim time went to.
-        for (auto &sw : swProcs) {
-            obs::TraceSpan span(sw.domain.c_str(), "cosim.slice",
-                                cfg.trace);
-            progress |= sliceSoftware(sw);
-        }
-
-        // Hardware catches up to the latest software time plus one
-        // bus latency (so in-flight messages can land).
-        std::uint64_t horizon = 1;
-        for (auto &sw : swProcs) {
-            horizon = std::max(
-                horizon, static_cast<std::uint64_t>(sw.time) + 1);
-        }
-        std::uint64_t chan_next = nextChannelEvent();
-        if (chan_next != std::numeric_limits<std::uint64_t>::max())
-            horizon = std::max(horizon, chan_next + 1);
-
-        for (auto &hw : hwProcs) {
-            obs::TraceSpan span(hw.domain.c_str(), "cosim.slice",
-                                cfg.trace);
-            progress |= sliceHardware(hw, horizon);
-        }
-
-        if (progress)
-            continue;
-
-        // Nothing ran. If channel events are pending, advance every
-        // blocked process to the event time, restart any deferred
-        // pickups, and retry.
-        std::uint64_t next = nextChannelEvent();
-        if (next != std::numeric_limits<std::uint64_t>::max()) {
-            for (auto &sw : swProcs) {
-                if (sw.time < static_cast<double>(next + 1))
-                    sw.time = static_cast<double>(next + 1);
-                sw.engine->poke();
-                sw.driverBlocked = false;
-                pumpFrom(sw.domain,
-                         static_cast<std::uint64_t>(sw.time));
-            }
-            for (auto &hw : hwProcs) {
-                // +1: the delivery must be visible in the cycle that
-                // observes it.
-                std::uint64_t t = next + 1;
-                if (hw.time < t)
-                    hw.time = t;
-                pumpFrom(hw.domain, hw.time);
-            }
-            continue;
-        }
-
-        // True quiescence: acceptable only when done() says so - the
-        // caller's predicate runs once more; otherwise deadlock.
-        if (done(*this))
-            break;
-        fatal("co-simulation deadlock: all partitions quiescent, no "
-              "messages in flight, and the completion predicate is "
-              "not satisfied");
+    // The latest software time plus one bus latency (so in-flight
+    // messages can land).
+    std::uint64_t horizon = 1;
+    for (const auto &d : domains_) {
+        if (d.kind == DomainKind::Software)
+            horizon = std::max(horizon,
+                               static_cast<std::uint64_t>(d.time) + 1);
     }
-    return now();
-}
-
-std::uint64_t
-CoSim::domainTime(const std::string &domain) const
-{
-    for (const auto &p : swProcs) {
-        if (p.domain == domain)
-            return static_cast<std::uint64_t>(p.time);
-    }
-    for (const auto &p : hwProcs) {
-        if (p.domain == domain)
-            return p.time;
-    }
-    panic("domainTime: no domain '" + domain + "'");
+    std::uint64_t chan_next = nextChannelEvent();
+    if (chan_next != kNever)
+        horizon = std::max(horizon, chan_next + 1);
+    return horizon;
 }
 
 /**
  * Epoch-barrier channel sweep (single-threaded; all workers parked):
  * land every due arrival, refresh credit observations, restart
  * deferred pickups, and poke consumers that received messages — the
- * deliveries a worker performed mid-epoch poked its own engine, but
+ * deliveries a worker performed mid-epoch poked its own executor, but
  * messages arriving at the barrier need this sweep's pokes to keep
  * quiescence detection honest. Deterministic: transports are visited
  * in construction (channel id) order.
@@ -892,18 +892,21 @@ CoSim::sweepChannels()
 
     bool delivered_any = false;
     for (auto &t : transports) {
-        if (!t->deliver(domainTime(t->spec().toDomain)))
+        const std::string &to = t->spec().toDomain;
+        if (!t->deliver(static_cast<std::uint64_t>(find(to)->time)))
             continue;
         delivered_any = true;
-        for (auto &sw : swProcs) {
-            if (sw.domain == t->spec().toDomain) {
-                sw.engine->poke();
-                sw.driverBlocked = false;
+        for (auto &d : domains_) {
+            if (d.name == to) {
+                d.exec->poke();
+                d.driverBlocked = false;
             }
         }
     }
-    for (auto &t : transports)
-        t->pump(domainTime(t->spec().fromDomain));
+    for (auto &t : transports) {
+        t->pump(static_cast<std::uint64_t>(
+            find(t->spec().fromDomain)->time));
+    }
 
     std::uint64_t picked_after = 0;
     for (const auto &t : transports)
@@ -912,209 +915,194 @@ CoSim::sweepChannels()
 }
 
 /**
- * The parallel engine: one worker per domain (round-robin when
- * domains outnumber threads), epoch barriers at swQuantum
- * granularity. Within an epoch each worker advances only its own
- * partitions and touches only its own ends of the channel
- * transports; between epochs the coordinating thread (the caller)
- * sweeps channels, evaluates the completion predicate, recomputes
- * the hardware horizon and handles quiescence — exactly the duties
- * the sequential loop performs inline. Worker exceptions are
- * captured and rethrown here after an orderly shutdown.
+ * The parallel engine's threads: one worker per domain (round-robin
+ * when domains outnumber threads). Within an epoch each worker slices
+ * only its own domains and touches only its own ends of the channel
+ * transports; between epochs the coordinating thread (run()'s caller)
+ * owns everything and the workers are parked at the start barrier.
+ * Worker exceptions are captured and rethrown from epoch().
  */
-std::uint64_t
-CoSim::runParallel(const std::function<bool(CoSim &)> &done)
+class CoSim::Workers
 {
-    struct ProcRef
+  public:
+    Workers(CoSim &cs, int n)
+        : cs_(cs), n_(static_cast<size_t>(n)), start_(n + 1),
+          end_(n + 1), errors_(n_),
+          // Epoch wall time is what the software quantum trades off
+          // against barrier overhead.
+          epochHist_(cs.cfg.trace
+                         ? &obs::metrics().histogram(
+                               "cosim.epoch.wall_us",
+                               obs::Histogram::exponentialBounds(1.0, 2.0,
+                                                                 22))
+                         : nullptr)
     {
-        SwProc *sw = nullptr;
-        HwProc *hw = nullptr;
-    };
-    std::vector<ProcRef> procs;
-    for (auto &p : swProcs)
-        procs.push_back({&p, nullptr});
-    for (auto &p : hwProcs)
-        procs.push_back({nullptr, &p});
-
-    const int W = std::min<int>(requestedThreads(cfg),
-                                static_cast<int>(procs.size()));
-
-    // Two-phase epoch protocol: coordinator publishes the horizon and
-    // releases the start barrier; workers slice their domains and
-    // meet at the end barrier; the coordinator then owns everything
-    // until the next start. std::barrier is cyclic, so the same pair
-    // serves every epoch.
-    std::barrier<> startBarrier(W + 1);
-    std::barrier<> endBarrier(W + 1);
-    std::atomic<bool> stop{false};
-    std::atomic<bool> anyProgress{false};
-    std::uint64_t horizon = 1;  // barrier-ordered: coordinator writes
-                                // between epochs, workers read within
-    std::vector<std::exception_ptr> errors(
-        static_cast<size_t>(W));
-
-    auto worker = [&](int w) {
-        if (cfg.trace && obs::trace().enabled()) {
-            obs::trace().setThreadName("cosim.worker " +
-                                       std::to_string(w));
+        threads_.reserve(n_);
+        try {
+            for (size_t w = 0; w < n_; w++)
+                threads_.emplace_back([this, w] { loop(w); });
+        } catch (...) {
+            // Stand in for the workers that never started, so the ones
+            // that did can be released and joined.
+            for (size_t w = threads_.size(); w < n_; w++)
+                start_.arrive_and_drop();
+            join();
+            throw;
         }
+    }
+
+    Workers(const Workers &) = delete;
+    Workers &operator=(const Workers &) = delete;
+
+    ~Workers()
+    {
+        join();
+        // Compiled partitions were driven (and thread-bound) by their
+        // workers; hand them back so the caller can keep using them.
+        cs_.rebindCompiledThreads();
+    }
+
+    /** Run one epoch of every domain's slice, then the barrier sweep.
+     *  @return true when a slice or the sweep made progress. */
+    bool
+    epoch()
+    {
+        cs_.horizon_ = cs_.hwHorizon();
+        progress_.store(false, std::memory_order_relaxed);
+        const bool obsOn = cs_.cfg.trace && (obs::trace().enabled() ||
+                                             obs::metrics().enabled());
+        std::chrono::steady_clock::time_point t0;
+        if (obsOn) {
+            t0 = std::chrono::steady_clock::now();
+            obs::trace().begin("epoch", "cosim", "virtual_time",
+                               static_cast<std::int64_t>(cs_.now()));
+        }
+        // Two-phase protocol: releasing the start barrier starts the
+        // epoch; the workers meet the coordinator at the end barrier.
+        // std::barrier is cyclic, so the same pair serves every epoch.
+        start_.arrive_and_wait();
+        end_.arrive_and_wait();
+        if (obsOn) {
+            obs::trace().end("epoch", "cosim");
+            epochHist_->observe(
+                std::chrono::duration<double, std::micro>(
+                    std::chrono::steady_clock::now() - t0)
+                    .count());
+        }
+        for (const auto &e : errors_) {
+            if (e)
+                std::rethrow_exception(e);
+        }
+        bool swept = cs_.sweepChannels();
+        return progress_.load(std::memory_order_relaxed) || swept;
+    }
+
+  private:
+    void
+    join()
+    {
+        stop_.store(true, std::memory_order_release);
+        start_.arrive_and_wait();
+        for (auto &t : threads_)
+            t.join();
+    }
+
+    void
+    loop(size_t w)
+    {
+        if (cs_.cfg.trace && obs::trace().enabled())
+            obs::trace().setThreadName("cosim.worker " + std::to_string(w));
         for (;;) {
-            startBarrier.arrive_and_wait();
-            if (stop.load(std::memory_order_acquire))
+            start_.arrive_and_wait();
+            if (stop_.load(std::memory_order_acquire))
                 return;
             try {
                 bool progress = false;
-                for (size_t i = static_cast<size_t>(w);
-                     i < procs.size(); i += static_cast<size_t>(W)) {
-                    // Span per partition slice: the trace shows which
-                    // worker ran which domain for how long each epoch.
-                    const std::string &dom = procs[i].sw
-                                                 ? procs[i].sw->domain
-                                                 : procs[i].hw->domain;
-                    obs::TraceSpan span(dom.c_str(), "cosim.slice",
-                                        cfg.trace);
-                    if (procs[i].sw)
-                        progress |= sliceSoftware(*procs[i].sw);
-                    else
-                        progress |= sliceHardware(*procs[i].hw, horizon);
-                }
+                for (size_t i = w; i < cs_.domains_.size(); i += n_)
+                    progress |= cs_.slice(cs_.domains_[i]);
                 if (progress)
-                    anyProgress.store(true, std::memory_order_relaxed);
+                    progress_.store(true, std::memory_order_relaxed);
             } catch (...) {
-                if (!errors[static_cast<size_t>(w)])
-                    errors[static_cast<size_t>(w)] =
-                        std::current_exception();
+                if (!errors_[w])
+                    errors_[w] = std::current_exception();
             }
-            endBarrier.arrive_and_wait();
+            end_.arrive_and_wait();
         }
-    };
-
-    std::vector<std::thread> workers;
-    workers.reserve(static_cast<size_t>(W));
-    for (int w = 0; w < W; w++)
-        workers.emplace_back(worker, w);
-
-    bool shut = false;
-    auto shutdown = [&] {
-        if (shut)
-            return;
-        shut = true;
-        stop.store(true, std::memory_order_release);
-        startBarrier.arrive_and_wait();
-        for (auto &t : workers)
-            t.join();
-        // Compiled partitions were driven (and thread-bound) by their
-        // workers; hand them back so the caller can keep using them.
-        for (auto &sw : swProcs) {
-            if (sw.compiled)
-                sw.compiled->rebindThread();
-        }
-        for (auto &hw : hwProcs) {
-            if (hw.compiled)
-                hw.compiled->rebindThread();
-        }
-    };
-
-    // Epoch wall time feeds the tuning loop: barrier overhead vs.
-    // slice width is exactly what swQuantum trades off.
-    obs::Histogram *epochHist =
-        cfg.trace ? &obs::metrics().histogram(
-                        "cosim.epoch.wall_us",
-                        obs::Histogram::exponentialBounds(1.0, 2.0, 22))
-                  : nullptr;
-
-    std::string failure;
-    std::exception_ptr workerError;
-    try {
-        for (;;) {
-            // Coordinator-owned window: workers are parked at the
-            // start barrier, so predicates may read any store.
-            if (done(*this))
-                break;
-            if (now() > cfg.maxFpgaCycles) {
-                failure = "co-simulation exceeded maxFpgaCycles";
-                break;
-            }
-
-            horizon = 1;
-            for (auto &sw : swProcs) {
-                horizon = std::max(
-                    horizon, static_cast<std::uint64_t>(sw.time) + 1);
-            }
-            std::uint64_t chan_next = nextChannelEvent();
-            if (chan_next !=
-                std::numeric_limits<std::uint64_t>::max())
-                horizon = std::max(horizon, chan_next + 1);
-
-            anyProgress.store(false, std::memory_order_relaxed);
-            const bool obsOn =
-                cfg.trace && (obs::trace().enabled() ||
-                              obs::metrics().enabled());
-            std::chrono::steady_clock::time_point epochT0;
-            if (obsOn) {
-                epochT0 = std::chrono::steady_clock::now();
-                obs::trace().begin("epoch", "cosim", "virtual_time",
-                                   static_cast<std::int64_t>(now()));
-            }
-            startBarrier.arrive_and_wait();
-            // ... workers run one epoch ...
-            endBarrier.arrive_and_wait();
-            if (obsOn) {
-                obs::trace().end("epoch", "cosim");
-                epochHist->observe(
-                    std::chrono::duration<double, std::micro>(
-                        std::chrono::steady_clock::now() - epochT0)
-                        .count());
-            }
-
-            for (auto &e : errors) {
-                if (e) {
-                    workerError = e;
-                    break;
-                }
-            }
-            if (workerError)
-                break;
-
-            bool swept = sweepChannels();
-            if (anyProgress.load(std::memory_order_relaxed) || swept)
-                continue;
-
-            // Nothing ran anywhere. Advance every process to the next
-            // channel event and retry (mirrors the sequential loop).
-            std::uint64_t next = nextChannelEvent();
-            if (next != std::numeric_limits<std::uint64_t>::max()) {
-                for (auto &sw : swProcs) {
-                    if (sw.time < static_cast<double>(next + 1))
-                        sw.time = static_cast<double>(next + 1);
-                    sw.engine->poke();
-                    sw.driverBlocked = false;
-                }
-                for (auto &hw : hwProcs) {
-                    if (hw.time < next + 1)
-                        hw.time = next + 1;
-                }
-                sweepChannels();
-                continue;
-            }
-
-            if (done(*this))
-                break;
-            failure =
-                "co-simulation deadlock: all partitions quiescent, "
-                "no messages in flight, and the completion predicate "
-                "is not satisfied";
-            break;
-        }
-    } catch (...) {
-        shutdown();
-        throw;
     }
-    shutdown();
-    if (workerError)
-        std::rethrow_exception(workerError);
-    if (!failure.empty())
-        fatal(failure);
+
+    CoSim &cs_;
+    const size_t n_;
+    std::barrier<> start_, end_;
+    std::atomic<bool> stop_{false}, progress_{false};
+    std::vector<std::exception_ptr> errors_;
+    obs::Histogram *epochHist_;
+    std::vector<std::thread> threads_;
+};
+
+std::uint64_t
+CoSim::run(const std::function<bool(CoSim &)> &done)
+{
+    std::optional<Workers> workers;
+    if (parallel_) {
+        workers.emplace(*this,
+                        std::min<int>(requestedThreads(cfg),
+                                      static_cast<int>(domains_.size())));
+    }
+    for (;;) {
+        // Between slices nothing runs, so the predicate may read any
+        // store.
+        if (done(*this))
+            break;
+        if (now() > kMaxFpgaCycles)
+            fatal("co-simulation exceeded maxFpgaCycles");
+
+        bool progress = false;
+        if (workers) {
+            progress = workers->epoch();
+        } else {
+            // Inline, hardware catches up to where software got this
+            // round; on workers it runs against the horizon set before
+            // the epoch, concurrently with software.
+            bool caught_up = false;
+            for (auto &d : domains_) {
+                if (d.kind == DomainKind::Hardware && !caught_up) {
+                    horizon_ = hwHorizon();
+                    caught_up = true;
+                }
+                progress |= slice(d);
+            }
+        }
+        if (progress)
+            continue;
+
+        // Nothing ran. If channel events are pending, advance every
+        // blocked domain to the event time (+1: the delivery must be
+        // visible in the cycle that observes it), restart deferred
+        // pickups, and retry.
+        std::uint64_t next = nextChannelEvent();
+        if (next != kNever) {
+            for (auto &d : domains_) {
+                d.time = std::max(d.time, static_cast<double>(next + 1));
+                d.exec->poke();
+                d.driverBlocked = false;
+            }
+            if (workers) {
+                sweepChannels();
+            } else {
+                for (const auto &d : domains_)
+                    pumpFrom(d.name, static_cast<std::uint64_t>(d.time));
+            }
+            continue;
+        }
+
+        // True quiescence: acceptable only when done() says so - the
+        // caller's predicate runs once more; otherwise deadlock.
+        if (done(*this))
+            break;
+        fatal("co-simulation deadlock: all partitions quiescent, no "
+              "messages in flight, and the completion predicate is "
+              "not satisfied");
+    }
     return now();
 }
 

@@ -3,14 +3,19 @@
  * Hardware/software co-simulation in virtual time. Executes a
  * partitioned program end to end:
  *
- *   - each software domain runs under a RuleEngine; abstract work is
- *     converted to FPGA cycles through the CPU clock ratio and CPI
- *     (PPC440 at 400 MHz vs fabric at 100 MHz: 4 CPU cycles per FPGA
- *     cycle),
- *   - each hardware domain runs under a ClockSim, one rule set per
- *     FPGA cycle, skipping idle gaps event-driven,
- *   - channels move messages between partitions with bus timing and
- *     credit-based flow control.
+ *   - each domain runs behind one executor (DomainExec): interpreted
+ *     or compiled software, ClockSim, the compiled clock edge, or a
+ *     remote peer. Software work converts to FPGA cycles through the
+ *     CPU clock ratio (PPC440 at 400 MHz vs fabric at 100 MHz: 4 CPU
+ *     cycles per FPGA cycle); hardware runs one rule set per FPGA
+ *     cycle, skipping idle gaps event-driven,
+ *   - channels move messages between the domains' Stores (mirrors,
+ *     for compiled and remote domains) with bus timing and
+ *     credit-based flow control,
+ *   - one slice routine per DomainKind (software: a quantum of steps
+ *     plus the host driver; hardware: clocking up to a horizon) and
+ *     one run loop that owns the horizon, quiescence-advance, the
+ *     cycle cap and deadlock detection.
  *
  * An optional SwDriver plays the role of the software "up the stack"
  * (the Vorbis front end invoking backend.input(frame)).
@@ -21,21 +26,20 @@
  * only within a pipeline batch, never functional results. Tests
  * verify bit-identical outputs across all partitionings of a program.
  *
- * Parallelism (CosimConfig::threads): with threads > 1 every
- * partition advances on its own worker thread, synchronized by epoch
- * barriers at the swQuantum granularity; channel messages cross
+ * Parallelism (CosimConfig::threads): with threads > 1 the run loop
+ * hands each epoch's slices to worker threads instead of running them
+ * inline, synchronized by epoch barriers; channel messages cross
  * between workers over thread-safe SPSC transports. The LIBDN
  * latency-insensitivity guarantee is exactly what makes this
  * semantics-preserving — domains may race ahead of each other
  * arbitrarily and functional outputs cannot change. threads == 1
- * takes the historical single-threaded loop bit for bit (outputs,
- * firing counts AND reported cycle counts); threads > 1 keeps
- * outputs and firing counts bit-identical while reported cycle
- * counts may shift within an epoch. See "Parallel co-simulation" in
- * docs/ARCHITECTURE.md.
+ * keeps outputs, firing counts AND reported cycle counts bit-stable;
+ * threads > 1 keeps outputs and firing counts bit-identical while
+ * reported cycle counts may shift within an epoch. See "Parallel
+ * co-simulation" in docs/ARCHITECTURE.md.
  *
  * Contract: construct from a PartitionResult whose parts/channels are
- * untouched since partitionProgram(); the cosim owns one engine per
+ * untouched since partitionProgram(); the cosim owns one executor per
  * partition and advances them in virtual time until the caller's done
  * predicate holds. Global quiescence before then (no engine can fire,
  * no message in flight, driver blocked) is reported as a deadlock
@@ -72,8 +76,7 @@ enum class DomainKind : std::uint8_t { Software, Hardware };
  *                 performance model; virtual time from modeled work),
  *   Compiled    - generateCpp + host compiler + dlopen (the paper's
  *                 actual software story; native speed, virtual time
- *                 approximated per firing — see
- *                 CosimConfig::swCompiledCyclesPerFiring).
+ *                 approximated per firing).
  * Functional results are identical either way (differential-tested);
  * only wall-clock speed and the fidelity of reported cycle counts
  * differ.
@@ -110,19 +113,6 @@ struct CosimConfig
      * is byte-identical to the old hard-coded calibration.
      */
     PlatformSpec platform = PlatformSpec::ml507();
-
-    /**
-     * CPU cycles per abstract work unit. Work units are interpreter
-     * AST-node counts, which overestimate the instructions of the
-     * *compiled* generated C++ by roughly 4x (many nodes fold into
-     * single instructions); 0.23 calibrates the full-software Vorbis
-     * partition to ~1.2x the hand-written baseline, the paper's
-     * "slightly faster" F2 relation. See docs/EXPERIMENTS.md.
-     */
-    double swCyclesPerWork = 0.23;
-
-    /** Software scheduling strategy. */
-    SwStrategy swStrategy = SwStrategy::Dataflow;
 
     /** Execution backend for software domains (the config switch
      *  between the interpreter and compiled shared objects). */
@@ -171,28 +161,13 @@ struct CosimConfig
      */
     std::shared_ptr<const CompiledArtifact> swArtifact;
 
-    /**
-     * Virtual-time charge (CPU cycles) per rule firing of a compiled
-     * software domain. Compiled execution does not model work — it IS
-     * the generated code running natively — so virtual time is
-     * approximated per firing. Latency-insensitive interfaces make
-     * functional results independent of this knob; only reported
-     * cycle counts move.
-     */
-    double swCompiledCyclesPerFiring = 200.0;
-
     /** Cost model applied to software partitions (calibration knobs;
      *  see docs/EXPERIMENTS.md). */
     CostModel swCosts;
 
-    /** Max software rule firings per slice before hardware catches
-     *  up (bounds virtual-time skew). In parallel mode this is also
-     *  the epoch granularity between barriers. */
-    int swQuantum = 64;
-
     /**
-     * Worker threads for the co-simulation. 1 (default) runs the
-     * exact historical single-threaded loop. >1 runs each partition
+     * Worker threads for the co-simulation. 1 (default) runs every
+     * slice inline on the calling thread. >1 runs each partition
      * on a worker thread (domains are distributed round-robin when
      * there are more domains than threads), synchronized by epoch
      * barriers. 0 = one thread per domain up to
@@ -201,9 +176,6 @@ struct CosimConfig
      * epoch at threads > 1.
      */
     int threads = 1;
-
-    /** Hard stop for the whole co-simulation. */
-    std::uint64_t maxFpgaCycles = 1ull << 40;
 
     /**
      * Participate in tracing/metrics: when the process-global
@@ -219,7 +191,9 @@ struct CosimConfig
     bool trace = true;
 
     /** Domain disciplines; domains absent here default to Hardware,
-     *  except "SW" which defaults to Software. */
+     *  except "SW" which defaults to Software. Naming a domain the
+     *  partitioning does not have is fatal (so is naming one in
+     *  transports or remoteEndpoints). */
     std::map<std::string, DomainKind> kinds;
 
     DomainKind
@@ -268,7 +242,7 @@ struct CosimConfig
 
     /** Tcp domains listed here attach to an already-running
      *  cosim_partition_host ("127.0.0.1:PORT") instead of forking a
-     *  child. */
+     *  child. Listing a domain whose transport is not Tcp is fatal. */
     std::map<std::string, std::string> remoteEndpoints;
 };
 
@@ -298,8 +272,6 @@ class SwPort
     /** The domain's committed state (mirror Store when compiled). */
     virtual Store &store() = 0;
 
-    /** The interpreter behind this port; nullptr when compiled. */
-    virtual Interp *interp() { return nullptr; }
 };
 
 /**
@@ -326,11 +298,15 @@ struct SwDriver
     std::function<bool()> done;
 };
 
+/** Runs one domain's rules (platform/cosim.cpp). */
+class DomainExec;
+
 /** Co-simulation engine over a PartitionResult. */
 class CoSim
 {
   public:
     CoSim(const PartitionResult &parts, CosimConfig cfg);
+    ~CoSim();
 
     /** Attach the host driver to software domain @p domain. */
     void setDriver(const std::string &domain, SwDriver driver);
@@ -346,8 +322,8 @@ class CoSim
     /** Store of a domain's partition. */
     Store &storeOf(const std::string &domain);
 
-    /** Interpreter of a software domain (the mirror interpreter when
-     *  the domain runs compiled: its stats stay zero). */
+    /** Interpreter of an interpreted software domain. A compiled
+     *  domain has none (panics): check swCompiled() first. */
     Interp &swInterp(const std::string &domain = "SW");
 
     /** Compiled backend of a software domain; nullptr when the domain
@@ -405,97 +381,65 @@ class CoSim
     /**
      * Publish this cosim's state under the stable metric names
      * (cosim.fpga_cycles, cosim.sw_work, cosim.domain.<d>.cycles,
-     * cosim.channel.<c>.*; for each interpreted hardware domain also
-     * cosim.domain.<d>.rules_attempted / .guard_fails / .wasted_work
-     * from its ClockSim's ExecStats). The internal structs stay the
-     * source of truth; call while quiesced (after run(), or at an
-     * epoch barrier) — set() semantics, so the registry reflects
-     * THIS cosim afterwards.
+     * cosim.channel.<c>.*; for each interpreted domain, software and
+     * ClockSim alike, also cosim.domain.<d>.rules_attempted /
+     * .guard_fails / .wasted_work from its interpreter's ExecStats).
+     * The internal structs stay the source of truth; call while
+     * quiesced (after run(), or at an epoch barrier) — set()
+     * semantics, so the registry reflects THIS cosim afterwards.
      */
     void snapshotMetrics(obs::MetricsRegistry &reg) const;
 
   private:
-    struct SwProc
+    /** One partition: its committed state (the mirror store when the
+     *  executor is compiled or remote), its executor and its clock. */
+    struct Domain
     {
-        std::string domain;
-        /**
-         * Committed state when interpreted; the *mirror* store when
-         * compiled: channel transports, done-predicates and drivers
-         * keep reading/writing it, and the slice loop exchanges its
-         * synchronizer/device queues with the shared object through
-         * the marshaled C ABI (sync-half stubs).
-         */
+        std::string name;
+        DomainKind kind;
         std::unique_ptr<Store> store;
-        std::unique_ptr<Interp> interp;
-        std::unique_ptr<RuleEngine> engine;
-        std::unique_ptr<CompiledPartition> compiled;
-        SwDriver driver;
-        double time = 0;  ///< local virtual time, FPGA cycles
+        std::unique_ptr<DomainExec> exec;
+        SwDriver driver;     ///< software only
+        double time = 0;     ///< local virtual time, FPGA cycles
         bool driverBlocked = false;
     };
 
-    struct HwProc
-    {
-        std::string domain;
-        std::unique_ptr<Store> store;
-        /** Interpreted backend; null when compiled is set. The store
-         *  stays live either way: transports read/write it, so with a
-         *  compiled backend it becomes the channel-facing mirror of
-         *  the generated instance's sync fifos. */
-        std::unique_ptr<ClockSim> sim;
-        std::unique_ptr<CompiledHwPartition> compiled;
-        /** Set when the domain runs in another process (SharedMem /
-         *  Tcp transport); sim and compiled stay null — the store is
-         *  the mirror the relay and the transports share. */
-        std::unique_ptr<RemoteHwPartition> remote;
-        std::uint64_t time = 0;
-        // Compiled-backend marshaling plan, resolved once at
-        // construction (prim ids by kind; zero template per SyncTx
-        // for occupancy prefill).
-        std::vector<int> rxPrims, txPrims, devPrims;
-        std::vector<Value> txZero;  ///< parallel to txPrims
-        std::vector<int> rxFed;     ///< per-burst scratch, ∥ rxPrims
-        std::vector<int> txPre;     ///< per-burst scratch, ∥ txPrims
-    };
+    /** The parallel engine's worker threads (threads > 1). */
+    class Workers;
 
-    bool sliceSoftware(SwProc &sw);
-    bool sliceSoftwareCompiled(SwProc &sw);
-    bool tryDriver(SwProc &sw, double work_to_cycles);
-    /** Mirror SyncRx deliveries into the shared object. */
-    bool feedCompiledInputs(SwProc &sw);
-    /** Mirror SyncTx/device output out of the shared object. */
-    bool drainCompiledOutputs(SwProc &sw);
-    bool sliceHardware(HwProc &hw, std::uint64_t horizon);
-    /** Slice a domain that lives in another process: ship staged
-     *  inputs, run a budget-based remote slice, fold outputs back. */
-    bool sliceHardwareRemote(HwProc &hw, std::uint64_t horizon);
-    /** Project mirror-fifo occupancy into the compiled instance so
-     *  generated guards see exactly what ClockSim's would. */
-    void hwSyncIn(HwProc &hw);
-    /** Reconcile the compiled instance's sync fifos back into the
-     *  mirror store after a cycle/burst. */
-    void hwSyncOut(HwProc &hw);
+    std::shared_ptr<const CompiledArtifact>
+    artifactFor(const PartitionPart &part, DomainKind kind) const;
+    const Domain *find(const std::string &name) const;
+
+    /** One traced slice of @p d: sliceSoftware or sliceHardware. */
+    bool slice(Domain &d);
+    /** Up to the software quantum of executor steps, with the host
+     *  driver tried whenever the executor is quiescent. */
+    bool sliceSoftware(Domain &d);
+    /** Clock @p d up to horizon_, and past it while still active. */
+    bool sliceHardware(Domain &d);
+    /** Where hardware catches up to this round. */
+    std::uint64_t hwHorizon() const;
+
     void pumpFrom(const std::string &domain, std::uint64_t time);
     bool deliverTo(const std::string &domain, std::uint64_t time);
     std::uint64_t nextChannelEvent() const;
     /** Next delivery addressed to @p domain (consumer-end view in
      *  parallel mode; both-ends view otherwise). */
     std::uint64_t nextDeliveryTo(const std::string &domain) const;
-
-    /** The single-threaded virtual-time loop (threads == 1). */
-    std::uint64_t runSequential(const std::function<bool(CoSim &)> &done);
-    /** One worker per domain, epoch barriers (threads > 1). */
-    std::uint64_t runParallel(const std::function<bool(CoSim &)> &done);
     /** Barrier-time channel sweep; true when any message moved. */
     bool sweepChannels();
-    std::uint64_t domainTime(const std::string &domain) const;
 
     CosimConfig cfg;
-    /** True when run() executes the epoch-parallel engine; fixed at
-     *  construction so transports are built thread-safe. */
+    /** True when run() hands slices to worker threads; fixed at
+     *  construction so transports and executors are built for it. */
     bool parallel_ = false;
-    std::vector<SwProc> swProcs;
-    std::vector<HwProc> hwProcs;
+    /** Software domains first, then hardware, each in partition
+     *  order. */
+    std::vector<Domain> domains_;
+    /** Hardware slices run up to here; set by the run loop before
+     *  they start (barrier-ordered on workers). */
+    std::uint64_t horizon_ = 1;
     std::vector<std::unique_ptr<ChannelTransport>> transports;
     // One arbiter per (from-domain, to-domain) link direction.
     std::map<std::pair<std::string, std::string>,

@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include "common/logging.hpp"
+#include "core/astprint.hpp"
 #include "core/codegen_cpp.hpp"
 #include "obs/metrics.hpp"
 #include "platform/marshal.hpp"
@@ -91,6 +92,20 @@ programSignature(const ElabProgram &prog)
         mix64(h, static_cast<std::uint64_t>(rule.id));
         mixStr(h, rule.name);
         mixStr(h, rule.domain);
+        mixStr(h, printAction(rule.body));
+    }
+    mix64(h, prog.methods.size());
+    for (const auto &meth : prog.methods) {
+        mix64(h, static_cast<std::uint64_t>(meth.id));
+        mixStr(h, meth.name);
+        mixStr(h, meth.domain);
+        mix64(h, meth.params.size());
+        for (const auto &param : meth.params) {
+            mixStr(h, param.name);
+            mixStr(h, printType(param.type));
+        }
+        mixStr(h, meth.isAction ? printAction(meth.body)
+                                : printExpr(meth.value));
     }
     return h;
 }

@@ -64,10 +64,12 @@ TransportKind parseTransportKind(const std::string &name);
 /**
  * Order-insensitive-free structural hash of an elaborated partition:
  * FNV-1a64 over every prim's identity (id, kind, path, width,
- * capacity, domains, channel) and every rule's (id, name, domain).
- * Both handshake sides compute it from their own ElabProgram — a
- * match means the two processes elaborated the same partition, so
- * marshaled payloads demarshal identically.
+ * capacity, domains, channel), every rule's (id, name, domain,
+ * printed body) and every method's (id, name, domain, params,
+ * printed body). Both handshake sides compute it from their own
+ * ElabProgram — a match means the two processes elaborated the same
+ * partition, so marshaled payloads demarshal identically and both
+ * sides run the same rules.
  */
 std::uint64_t programSignature(const ElabProgram &prog);
 

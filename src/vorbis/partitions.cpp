@@ -200,15 +200,17 @@ runVorbisConfig(const VorbisConfig &vcfg, int frames,
 
     VorbisRunResult res;
     res.fpgaCycles = cycles;
-    res.swWork = cosim.swInterp().stats().work;
-    res.swRulesFired = cosim.swInterp().stats().rulesFired;
-    res.swRulesAttempted = cosim.swInterp().stats().rulesAttempted;
-    res.swShadowCopies = cosim.swInterp().stats().shadowCopies;
     if (const CompiledPartition *cp = cosim.swCompiled()) {
         // Compiled backend: firings counted inside the shared object;
-        // work is not modeled there.
+        // work and shadow copies are not modeled there.
         res.swRulesFired = cp->rulesFired();
         res.swRulesAttempted = cp->rulesAttempted();
+    } else {
+        const ExecStats &st = cosim.swInterp().stats();
+        res.swWork = st.work;
+        res.swRulesFired = st.rulesFired;
+        res.swRulesAttempted = st.rulesAttempted;
+        res.swShadowCopies = st.shadowCopies;
     }
     for (const auto &v : cosim.storeOf("SW").at(audio).queue) {
         for (const auto &s : v.elems())

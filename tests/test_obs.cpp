@@ -611,9 +611,9 @@ TEST(TracedCosim, SnapshotPublishesCosimMetrics)
 
 TEST(TracedCosim, InterpretedHwAttemptCountersIgnoreTracing)
 {
-    // The per-domain rule-attempt gauges of interpreted hardware
-    // domains are modeled quantities: at threads = 1 they must not
-    // move when tracing is switched on.
+    // The per-domain rule-attempt gauges of interpreted domains,
+    // hardware and software alike, are modeled quantities: at
+    // threads = 1 they must not move when tracing is switched on.
     auto attemptGauges = [](bool traced) {
         std::unique_ptr<ScopedObs> on;
         if (traced)
@@ -636,20 +636,26 @@ TEST(TracedCosim, InterpretedHwAttemptCountersIgnoreTracing)
         cs.snapshotMetrics(reg);
         Json root = JsonParser(reg.toJson()).parse();
         std::map<std::string, double> out;
-        for (const char *k :
-             {"rules_attempted", "guard_fails", "wasted_work"}) {
-            auto it = root.obj.find(std::string("cosim.domain.HW.") + k);
-            if (it != root.obj.end())
-                out[k] = it->second.at("value").num;
+        for (const char *dom : {"HW", "SW"}) {
+            for (const char *k :
+                 {"rules_attempted", "guard_fails", "wasted_work"}) {
+                const std::string key =
+                    std::string("cosim.domain.") + dom + "." + k;
+                auto it = root.obj.find(key);
+                if (it != root.obj.end())
+                    out[key] = it->second.at("value").num;
+            }
         }
         return out;
     };
 
     std::map<std::string, double> off = attemptGauges(false);
     std::map<std::string, double> on = attemptGauges(true);
-    ASSERT_EQ(off.size(), 3u);
-    EXPECT_GT(off["rules_attempted"], 0.0);
-    EXPECT_GT(off["guard_fails"], 0.0);
+    ASSERT_EQ(off.size(), 6u);
+    EXPECT_GT(off["cosim.domain.HW.rules_attempted"], 0.0);
+    EXPECT_GT(off["cosim.domain.HW.guard_fails"], 0.0);
+    EXPECT_GT(off["cosim.domain.SW.rules_attempted"], 0.0);
+    EXPECT_GT(off["cosim.domain.SW.guard_fails"], 0.0);
     EXPECT_EQ(on, off);
 }
 

@@ -924,6 +924,44 @@ TEST(CoSimParallel, VorbisDeterminismMatrixCompiled)
     }
 }
 
+// A compiled software domain must feel backpressure on its outbound
+// synchronizers exactly as the interpreter's guard does: its SyncTx
+// mirror never holds more undelivered messages than the prim's
+// capacity, however far software runs ahead of hardware.
+TEST(CoSimParallel, CompiledSoftwareSyncTxMirrorStaysWithinCapacity)
+{
+    if (!CompiledPartition::hostCompilerAvailable())
+        GTEST_SKIP() << "no host compiler";
+    const int frames = 16;
+    vorbis::VorbisServeSetup setup = vorbis::makeVorbisServeSetup(
+        vorbis::partitionConfig(vorbis::VorbisPartition::B));
+    CosimConfig cfg;
+    cfg.swBackend = SwBackend::Compiled;
+    CoSim cosim(setup.parts, cfg);
+    cosim.setDriver("SW", vorbis::makeVorbisStreamDriver(
+                              vorbis::makeVorbisStreamState(frames, 7),
+                              setup.pushMethod));
+
+    std::vector<const ElabPrim *> tx;
+    for (const ElabPrim &prim : setup.parts.part("SW").prog.prims) {
+        if (prim.kind == "SyncTx")
+            tx.push_back(&prim);
+    }
+    ASSERT_FALSE(tx.empty());
+    size_t checks = 0;
+    cosim.run([&](CoSim &cs) {
+        for (const ElabPrim *prim : tx) {
+            EXPECT_LE(cs.storeOf("SW").at(prim->id).queue.size(),
+                      static_cast<size_t>(prim->capacity))
+                << prim->path << " after " << checks << " checks";
+        }
+        checks++;
+        return cs.storeOf("SW").at(setup.audioPrim).queue.size() >=
+               static_cast<size_t>(frames);
+    });
+    EXPECT_GT(checks, 1u);
+}
+
 // The hardware-backend axis: every run below must reproduce the
 // interpreted threads=1 golden reference — and because the two
 // hardware backends are cycle-exact against each other (unlike the
@@ -1173,6 +1211,50 @@ TEST(CoSimTransport, SoftwareDomainOverrideIsRejected)
     PartitionResult parts = partitionProgram(elab, doms);
     CosimConfig cfg;
     cfg.transports["SW"] = TransportKind::SharedMem;
+    EXPECT_THROW(CoSim cosim(parts, cfg), FatalError);
+}
+
+TEST(CoSimTransport, ConfigNamingAbsentDomainIsRejected)
+{
+    Program p = makeEchoProgram();
+    ElabProgram elab = elaborate(p);
+    DomainAssignment doms = inferDomains(elab);
+    PartitionResult parts = partitionProgram(elab, doms);
+    {
+        CosimConfig cfg;
+        cfg.kinds["HWX"] = DomainKind::Hardware;
+        EXPECT_THROW(CoSim cosim(parts, cfg), FatalError);
+    }
+    {
+        CosimConfig cfg;
+        cfg.transports["HWX"] = TransportKind::SharedMem;
+        EXPECT_THROW(CoSim cosim(parts, cfg), FatalError);
+    }
+    {
+        CosimConfig cfg;
+        cfg.transports["HWX"] = TransportKind::Tcp;
+        cfg.remoteEndpoints["HWX"] = "127.0.0.1:1";
+        EXPECT_THROW(CoSim cosim(parts, cfg), FatalError);
+    }
+}
+
+TEST(CoSimTransport, RemoteEndpointWithoutTcpIsRejected)
+{
+    Program p = makeEchoProgram();
+    ElabProgram elab = elaborate(p);
+    DomainAssignment doms = inferDomains(elab);
+    PartitionResult parts = partitionProgram(elab, doms);
+    for (TransportKind kind :
+         {TransportKind::InThread, TransportKind::SharedMem}) {
+        CosimConfig cfg;
+        cfg.transports["HW"] = kind;
+        cfg.remoteEndpoints["HW"] = "127.0.0.1:1";
+        EXPECT_THROW(CoSim cosim(parts, cfg), FatalError)
+            << transportName(kind);
+    }
+    // A software domain never runs remotely, so it cannot have one.
+    CosimConfig cfg;
+    cfg.remoteEndpoints["SW"] = "127.0.0.1:1";
     EXPECT_THROW(CoSim cosim(parts, cfg), FatalError);
 }
 

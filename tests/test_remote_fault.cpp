@@ -46,9 +46,9 @@ using namespace bcl::serve;
 TypePtr w32() { return Type::bits(32); }
 
 /** The SW->HW->SW echo pipeline (same shape as test_partition_cosim):
- *  push(x) -> toHw -> [HW: y = 2x+1] -> fromHw -> audio out. */
+ *  push(x) -> toHw -> [HW: y = scale*x+1] -> fromHw -> audio out. */
 Program
-makeEchoProgram()
+makeEchoProgram(int scale = 2)
 {
     ModuleBuilder b("Top");
     b.addFifo("inQ", w32(), 8);
@@ -65,7 +65,7 @@ makeEchoProgram()
                          callA("fromHw", "enq",
                                {primE(PrimOp::Add,
                                       {primE(PrimOp::Mul,
-                                             {varE("x"), intE(32, 2)}),
+                                             {varE("x"), intE(32, scale)}),
                                        intE(32, 1)})})})));
     b.addRule("drain", parA({callA("out", "output",
                                    {callV("fromHw", "first")}),
@@ -201,6 +201,21 @@ TEST(RemoteFault, ProgramSignatureMismatchIsRefusedBeforePayload)
                 << transportName(kind) << ": " << msg;
         }
     }
+}
+
+// The handshake hash covers what the partition computes, not only its
+// layout: two independent elaborations agree exactly when their rule
+// bodies do, so a peer running a different datapath is refused.
+TEST(RemoteFault, ProgramSignatureCoversRuleBodies)
+{
+    auto signature = [](int scale) {
+        ElabProgram elab = elaborate(makeEchoProgram(scale));
+        DomainAssignment doms = inferDomains(elab);
+        PartitionResult parts = partitionProgram(elab, doms);
+        return programSignature(parts.part("HW").prog);
+    };
+    EXPECT_EQ(signature(2), signature(2));
+    EXPECT_NE(signature(2), signature(3));
 }
 
 /**
