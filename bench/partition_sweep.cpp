@@ -11,7 +11,9 @@
  * design-space exploration that BCL makes a one-line change.
  *
  * Also measures the hardware-backend comparison: the full-hardware
- * Vorbis (E) and ray-tracer (C) partitions clocked by the interpreted
+ * Vorbis (E) and ray-tracer (C) partitions and the ray split (one
+ * hardware domain per engine, HWT/HWX/HWG, whose many small channel
+ * messages stress the mirror sync) clocked by the interpreted
  * ClockSim versus the compiled clock-edge backend
  * (hwsim/compiled_hw.hpp). The two are cycle-exact against each
  * other, so the frontier above is backend-invariant; what the
@@ -153,12 +155,11 @@ compareVorbisE(int frames, serve::CompileCache &cache)
 }
 
 BackendCompare
-compareRayC(int size, int prims, serve::CompileCache &cache)
+compareRay(const std::string &name, const ray::RayConfig &rcfg,
+           int prims, serve::CompileCache &cache)
 {
     BackendCompare cmp;
-    cmp.name = "ray_C";
-    ray::RayConfig rcfg =
-        ray::rayPartitionConfig(ray::RayPartition::C, size, size);
+    cmp.name = name;
 
     // The ray driver's software side is a few cheap rules, so the
     // interpreted SW runtime is kept on both sides here (the ray
@@ -370,10 +371,17 @@ main(int argc, char **argv)
                 "amortize their two crossings per frame over the "
                 "whole back-end's compute).\n\n");
 
-    // --- hardware-backend comparison (full-HW Vorbis E + ray C) ----------
+    // --- hardware-backend comparison (Vorbis E, ray C, ray split) --------
     std::vector<BackendCompare> compares;
     compares.push_back(compareVorbisE(cmp_frames, cache));
-    compares.push_back(compareRayC(ray_size, ray_prims, cache));
+    compares.push_back(compareRay(
+        "ray_C",
+        ray::rayPartitionConfig(ray::RayPartition::C, ray_size,
+                                ray_size),
+        ray_prims, cache));
+    compares.push_back(compareRay(
+        "ray_split", ray::splitRayConfig(ray_size, ray_size), ray_prims,
+        cache));
 
     std::printf("== Hardware backend: interpreted ClockSim vs "
                 "compiled clock edge ==\n\n");

@@ -19,7 +19,8 @@ Runs the built benchmarks and merges their machine-readable output:
     frontier (FPGA-cycle ratio of every Vorbis partition vs full
     software as the per-message driver cost grows) plus the
     hardware-backend comparison — interpreted ClockSim vs the compiled
-    clock edge on the full-HW Vorbis (E) and ray (C) partitions, with
+    clock edge on the full-HW Vorbis (E) and ray (C) partitions and
+    the ray split (HWT/HWX/HWG), with
     simulated-FPGA-cycles/sec per backend and in-process verification
     that outputs, cycle counts and firing totals are byte-identical
     (surfaced as the top-level "hw_backend" section),
@@ -176,18 +177,23 @@ def run_partition_sweep(build_dir, frames):
     with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as tmp:
         tmp_path = tmp.name
     try:
+        # A nonzero exit with the JSON written means a compiled row
+        # diverged: keep the report, so the rows say which one.
+        rc = subprocess.run(
+            [exe, "--frames", str(frames), "--json", tmp_path],
+            stdout=subprocess.DEVNULL,
+        ).returncode
         try:
-            subprocess.run(
-                [exe, "--frames", str(frames), "--json", tmp_path],
-                check=True,
-                stdout=subprocess.DEVNULL,
-            )
-        except subprocess.CalledProcessError as err:
-            print(f"warning: {exe} failed ({err}); omitting sweep",
+            with open(tmp_path) as f:
+                sweep = json.load(f)
+        except (OSError, ValueError):
+            print(f"warning: {exe} failed (exit {rc}); omitting sweep",
                   file=sys.stderr)
             return None
-        with open(tmp_path) as f:
-            return json.load(f)
+        if rc != 0:
+            print(f"warning: {exe} exited {rc}: a hw_backend row "
+                  "diverged", file=sys.stderr)
+        return sweep
     finally:
         os.unlink(tmp_path)
 
@@ -450,6 +456,7 @@ def main():
         # headline number of the compiled backend; promote it to a
         # top-level section.
         report["hw_backend"] = {
+            "hardware_concurrency": sweep["hardware_concurrency"],
             "compare_frames": sweep["compare_frames"],
             "workloads": sweep["hw_backend_compare"],
         }

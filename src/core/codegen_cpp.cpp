@@ -1304,6 +1304,43 @@ class CppGen
         w.closeBlock("}");
         w.blank();
 
+        // FIFO occupancy: live elements, or -1 = unknown id.
+        w.openBlock("int bcl_gen_prim_size(void *p, int prim) {");
+        w.writeLine("auto *self = " + self + ";");
+        w.writeLine("(void)self;");
+        w.openBlock("switch (prim) {");
+        for (const auto &p : prog.prims) {
+            if (isFifoKind(p.kind)) {
+                w.writeLine("case " + std::to_string(p.id) +
+                            ": return static_cast<int>(self->" +
+                            ident(p.path) + ".size());");
+            }
+        }
+        w.writeLine("default: return -1;");
+        w.closeBlock("}");
+        w.closeBlock("}");
+        w.blank();
+
+        // FIFO reserved slots (gen::Fifo::reserve): returns 0, or
+        // -1 = unknown id.
+        w.openBlock("int bcl_gen_prim_reserve(void *p, int prim, "
+                    "int n) {");
+        w.writeLine("auto *self = " + self + ";");
+        w.writeLine("(void)self; (void)n;");
+        w.openBlock("switch (prim) {");
+        for (const auto &p : prog.prims) {
+            if (isFifoKind(p.kind)) {
+                w.writeLine("case " + std::to_string(p.id) + ": self->" +
+                            ident(p.path) +
+                            ".reserve(static_cast<std::size_t>(n)); "
+                            "return 0;");
+            }
+        }
+        w.writeLine("default: return -1;");
+        w.closeBlock("}");
+        w.closeBlock("}");
+        w.blank();
+
         // Device-output drain (AudioDev): same contract as prim_pop.
         w.openBlock("int bcl_gen_dev_pop(void *p, int prim, "
                     "std::uint32_t *words, int nwords) {");

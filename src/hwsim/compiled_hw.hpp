@@ -19,7 +19,8 @@
  * (tests/test_codegen_hw.cpp) rely on.
  *
  * Messages cross the ABI as canonical marshaled words via the wrapped
- * CompiledPartition (pushPrim/popPrim/popDevice), and the instance
+ * CompiledPartition (pushPrim/popPrim/popDevice, plus the unmarshaled
+ * primSize/reservePrim the mirror sync needs), and the instance
  * inherits its thread-confinement contract — see runtime/gencc.hpp.
  */
 #ifndef BCL_HWSIM_COMPILED_HW_HPP
@@ -94,6 +95,15 @@ class CompiledHwPartition
     {
         return part_.popDevice(prim_id, out);
     }
+    std::size_t primSize(int prim_id) { return part_.primSize(prim_id); }
+    void
+    reservePrim(int prim_id, std::size_t n)
+    {
+        part_.reservePrim(prim_id, n);
+    }
+
+    /** The wrapped instance (marshal counters, program). */
+    const CompiledPartition &partition() const { return part_; }
 
     /** Release thread ownership (see CompiledPartition). */
     void rebindThread() { part_.rebindThread(); }

@@ -116,8 +116,8 @@ class DomainExec
     /** Hardware statistics; nullptr for software. */
     virtual const HwStats *hwStats() { return nullptr; }
 
-    /** The shared object of a compiled software domain. */
-    virtual const CompiledPartition *swCompiled() { return nullptr; }
+    /** The generated instance of a compiled domain. */
+    virtual const CompiledPartition *compiled() { return nullptr; }
 
     /** Release compiled-instance thread ownership (no-op otherwise). */
     virtual void rebindThread() {}
@@ -140,31 +140,36 @@ constexpr std::uint64_t kWorkerBurst = 8;
  * behind the ABI while the transports keep talking to the mirror
  * store — so before each step (a clock edge or burst, a software run
  * to quiescence, a driver's method call; no channel activity happens
- * inside one) in() projects the mirror's occupancy into the
- * instance, and out() reconciles afterwards:
+ * inside one) in() brings the instance up to date with the mirror,
+ * and out() reconciles afterwards. The sync is persistent and
+ * incremental: each channel message crosses the ABI once per
+ * direction, and an idle step marshals nothing.
  *
- *   SyncRx (rules only dequeue): feed the mirror's messages in order
- *   without removing them from the mirror. After the step, whatever
- *   is left in the instance is a duplicate — drain and discard it;
- *   the difference is how many the rules consumed, and that many are
- *   popped off the mirror front. The mirror stays the full-occupancy
+ *   SyncRx (rules only dequeue): the instance fifo holds the first
+ *   `n` mirror messages between steps. in() pushes only the mirror
+ *   entries past `n`; out() reads the instance occupancy, pops the
+ *   difference (what the rules consumed) off the mirror front, and
+ *   sets `n` to what is left. The mirror stays the full-occupancy
  *   source of truth for the transport's credit checks.
  *
  *   SyncTx (rules only enqueue): the instance fifo is empty between
- *   steps (we drain it fully), but the producer guard must see the
+ *   steps (out() drains it), but the producer guard must see the
  *   not-yet-delivered backlog or it would never feel backpressure
  *   (cycle counts would diverge, and a software producer would grow
- *   the mirror without bound). Prefill with one zero-valued dummy per
- *   backlogged mirror entry, step, pop the dummies back off, and
- *   append only the genuinely new messages to the mirror tail.
+ *   the mirror without bound). in() reserves `n` = backlog slots in
+ *   the instance fifo (gen::Fifo::reserve, one ABI call, only when
+ *   the backlog changed); out() appends what the rules enqueued to
+ *   the mirror tail.
  *
  *   AudioDev: drained into the mirror, which keeps the interpreter's
  *   cumulative device output (PrimState::queue).
  *
- * This relies on the same contract the interpreter enforces
- * dynamically: rules never enqueue into a SyncRx, never dequeue from
- * a SyncTx, and never clear a sync fifo. The prim plan is resolved
- * once, at construction.
+ * The SyncRx bookkeeping holds only because nothing else removes a
+ * SyncRx mirror message: transports only append to it and only this
+ * class pops it. Beyond that it relies on the contract the
+ * interpreter enforces dynamically: rules never enqueue into a
+ * SyncRx, never dequeue from a SyncTx, and never clear a sync fifo.
+ * The prim plan is resolved once, at construction.
  */
 template <class Inst>
 class MirrorSync
@@ -173,18 +178,12 @@ class MirrorSync
     MirrorSync(Inst &inst, Store &mirror) : inst_(inst), mirror_(mirror)
     {
         for (const auto &prim : inst.program().prims) {
-            if (prim.kind == "SyncRx") {
-                rx_.push_back({prim.id, {}, 0});
-            } else if (prim.kind == "SyncTx") {
-                size_t nwords = static_cast<size_t>(
-                    (prim.type->flatWidth() + 31) / 32);
-                std::vector<std::uint32_t> zeros(nwords > 0 ? nwords : 1,
-                                                 0);
-                BitCursor cur(zeros.data(), zeros.size());
-                tx_.push_back({prim.id, prim.type->unpackWords(cur), 0});
-            } else if (prim.kind == "AudioDev") {
+            if (prim.kind == "SyncRx")
+                rx_.push_back({prim.id, 0});
+            else if (prim.kind == "SyncTx")
+                tx_.push_back({prim.id, 0});
+            else if (prim.kind == "AudioDev")
                 dev_.push_back(prim.id);
-            }
         }
     }
 
@@ -193,38 +192,34 @@ class MirrorSync
     {
         for (auto &rx : rx_) {
             const auto &queue = mirror_.at(rx.prim).queue;
-            rx.count = 0;
-            while (rx.count < queue.size() &&
-                   inst_.pushPrim(rx.prim, queue[rx.count]))
-                rx.count++;
+            while (rx.n < queue.size() &&
+                   inst_.pushPrim(rx.prim, queue[rx.n]))
+                rx.n++;
         }
         for (auto &tx : tx_) {
             const size_t backlog = mirror_.at(tx.prim).queue.size();
-            tx.count = 0;
-            while (tx.count < backlog && inst_.pushPrim(tx.prim, tx.zero))
-                tx.count++;
+            if (backlog != tx.n) {
+                inst_.reservePrim(tx.prim, backlog);
+                tx.n = backlog;
+            }
         }
     }
 
     void
     out()
     {
-        Value v;
-        for (const auto &rx : rx_) {
-            size_t left = 0;
-            while (inst_.popPrim(rx.prim, v))
-                left++;
-            if (left > rx.count)
+        for (auto &rx : rx_) {
+            if (rx.n == 0)
+                continue;
+            const size_t left = inst_.primSize(rx.prim);
+            if (left > rx.n)
                 panic("cosim: compiled partition enqueued into SyncRx");
-            mirror_.at(rx.prim).queue.pop_front(rx.count - left);
+            mirror_.at(rx.prim).queue.pop_front(rx.n - left);
+            rx.n = left;
         }
+        Value v;
         for (const auto &tx : tx_) {
             auto &queue = mirror_.at(tx.prim).queue;
-            for (size_t k = 0; k < tx.count; k++) {
-                if (!inst_.popPrim(tx.prim, v))
-                    panic("cosim: compiled partition consumed a SyncTx "
-                          "prefill");
-            }
             while (inst_.popPrim(tx.prim, v))
                 queue.push_back(std::move(v));
         }
@@ -239,8 +234,9 @@ class MirrorSync
     struct SyncPrim
     {
         int prim;
-        Value zero;        ///< SyncTx prefill template
-        size_t count = 0;  ///< fed (SyncRx) / prefilled (SyncTx) by in()
+        /** SyncRx: mirror messages the instance holds; SyncTx: slots
+         *  reserved for the mirror backlog. */
+        size_t n;
     };
 
     Inst &inst_;
@@ -325,7 +321,7 @@ class CompiledSw final : public DomainExec, public SwPort
     }
 
     SwPort *port() override { return this; }
-    const CompiledPartition *swCompiled() override { return &C; }
+    const CompiledPartition *compiled() override { return &C; }
     void rebindThread() override { C.rebindThread(); }
 
     /** Inside the sync bracket: a method enqueuing into a SyncTx sees
@@ -394,6 +390,10 @@ class CompiledHw final : public DomainExec
     }
 
     const HwStats *hwStats() override { return &hw.stats(); }
+    const CompiledPartition *compiled() override
+    {
+        return &hw.partition();
+    }
     void rebindThread() override { hw.rebindThread(); }
 
   private:
@@ -628,7 +628,15 @@ const CompiledPartition *
 CoSim::swCompiled(const std::string &domain) const
 {
     const Domain *d = find(domain);
-    return d ? d->exec->swCompiled() : nullptr;
+    return d && d->kind == DomainKind::Software ? d->exec->compiled()
+                                                : nullptr;
+}
+
+const CompiledPartition *
+CoSim::compiled(const std::string &domain) const
+{
+    const Domain *d = find(domain);
+    return d ? d->exec->compiled() : nullptr;
 }
 
 const HwStats *

@@ -331,6 +331,11 @@ class CoSim
     const CompiledPartition *swCompiled(
         const std::string &domain = "SW") const;
 
+    /** Generated instance behind a compiled domain, software or
+     *  hardware; nullptr when the domain runs interpreted or
+     *  remote. */
+    const CompiledPartition *compiled(const std::string &domain) const;
+
     /** Hardware statistics of a hardware domain (nullptr if none).
      *  For remote domains this is the proxy's mirror, refreshed from
      *  every slice report. */

@@ -65,6 +65,12 @@ class Reg
  * the live elements only: a transaction that dequeues and then
  * enqueues reuses freed slots, so restoring head and count alone
  * would not restore the contents.
+ *
+ * Reserved slots count as occupied for the enqueue guards
+ * (canEnq/notFull) but hold no element: the host sets them to the
+ * undelivered backlog of a SyncTx mirror, so the producer feels
+ * backpressure without the backlog crossing the ABI. Only the host
+ * changes them (reserve), never a rule, so rollback leaves them be.
  */
 template <typename T>
 class Fifo
@@ -75,7 +81,7 @@ class Fifo
     {
     }
 
-    bool canEnq() const { return count < ring.size(); }
+    bool canEnq() const { return count + reserved < ring.size(); }
     bool canDeq() const { return count != 0; }
     bool notEmpty() const { return count != 0; }
     bool notFull() const { return canEnq(); }
@@ -114,6 +120,9 @@ class Fifo
         count = 0;
     }
 
+    /** Hold @p n slots as occupied; reserve(0) frees them all. */
+    void reserve(std::size_t n) { reserved = n; }
+
     /** The live elements, oldest first. */
     std::vector<T>
     contents() const
@@ -147,6 +156,7 @@ class Fifo
     std::vector<T> ring;
     std::size_t head = 0;   ///< slot of the oldest element
     std::size_t count = 0;  ///< live elements
+    std::size_t reserved = 0;  ///< slots held for the host (reserve)
 };
 
 /** An addressable memory. */

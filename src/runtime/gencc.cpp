@@ -472,6 +472,10 @@ CompiledArtifact::resolveAbi()
     fnPop_ =
         reinterpret_cast<int (*)(void *, int, std::uint32_t *, int)>(
             resolve("bcl_gen_prim_pop"));
+    fnSize_ = reinterpret_cast<int (*)(void *, int)>(
+        resolve("bcl_gen_prim_size"));
+    fnReserve_ = reinterpret_cast<int (*)(void *, int, int)>(
+        resolve("bcl_gen_prim_reserve"));
     fnDevPop_ =
         reinterpret_cast<int (*)(void *, int, std::uint32_t *, int)>(
             resolve("bcl_gen_dev_pop"));
@@ -494,24 +498,27 @@ CompiledArtifact::resolveAbi()
     // every message silently. On a reused .so this doubles as the
     // cache-integrity check: a stale object for a different program
     // fatals here instead of aliasing.
+    payloads_.assign(prog_.prims.size(), {});
     for (const auto &prim : prog_.prims) {
-        int host_words = -1;
+        PayloadLayout &slot = payloads_[static_cast<size_t>(prim.id)];
         if (prim.kind == "Fifo" || prim.kind == "Sync" ||
             prim.kind == "SyncTx" || prim.kind == "SyncRx") {
-            host_words = (prim.type->flatWidth() + 31) / 32;
+            slot.type = prim.type;
         } else if (prim.kind == "AudioDev") {
-            TypePtr t = devicePayloadType(prog_, prim.id);
-            deviceTypes_[prim.id] = t;
-            host_words = (t->flatWidth() + 31) / 32;
+            slot.type = devicePayloadType(prog_, prim.id);
+            slot.device = true;
         } else {
             continue;
         }
+        slot.words = (slot.type->flatWidth() + 31) / 32;
+        maxPayloadWords_ = std::max(maxPayloadWords_,
+                                    static_cast<size_t>(slot.words));
         int gen_words = fnWords_(prim.id);
-        if (gen_words != host_words) {
+        if (gen_words != slot.words) {
             fatal("gencc: marshaled layout mismatch on " + prim.path +
                   ": generated side expects " +
                   std::to_string(gen_words) + " words, host " +
-                  std::to_string(host_words));
+                  std::to_string(slot.words));
         }
     }
 }
@@ -558,6 +565,7 @@ CompiledPartition::CompiledPartition(
 {
     if (!artifact_)
         fatal("gencc: CompiledPartition needs a non-null artifact");
+    scratch_.resize(artifact_->maxPayloadWords_);
     inst_ = artifact_->fnCreate_();
     if (!inst_)
         fatal("gencc: bcl_gen_create returned null");
@@ -614,6 +622,20 @@ CompiledPartition::rulesAttempted() const
     return artifact_->fnStat_(inst_, 1);
 }
 
+const CompiledArtifact::PayloadLayout &
+CompiledPartition::layout(int prim_id, bool device) const
+{
+    const auto &payloads = artifact_->payloads_;
+    if (prim_id < 0 || static_cast<size_t>(prim_id) >= payloads.size() ||
+        !payloads[static_cast<size_t>(prim_id)].type ||
+        payloads[static_cast<size_t>(prim_id)].device != device) {
+        panic(std::string("gencc: ") + (device ? "device" : "FIFO") +
+              " access to prim " + std::to_string(prim_id) +
+              " of another kind");
+    }
+    return payloads[static_cast<size_t>(prim_id)];
+}
+
 bool
 CompiledPartition::pushPrim(int prim_id, const Value &v)
 {
@@ -628,54 +650,63 @@ CompiledPartition::pushPrim(int prim_id, const Value &v)
               ") rejected with " + std::to_string(rc) +
               " (id unknown or word count mismatch)");
     }
+    marshaled_ += rc == 1;
     return rc == 1;
 }
 
-Value
-CompiledPartition::popValue(int prim_id, const TypePtr &type,
-                            bool device, bool &ok)
+bool
+CompiledPartition::popValue(int prim_id, bool device, Value &out)
 {
-    int nwords = (type->flatWidth() + 31) / 32;
-    std::vector<std::uint32_t> words(
-        static_cast<size_t>(nwords > 0 ? nwords : 1));
+    const CompiledArtifact::PayloadLayout &l = layout(prim_id, device);
     int rc = device ? artifact_->fnDevPop_(inst_, prim_id,
-                                           words.data(), nwords)
-                    : artifact_->fnPop_(inst_, prim_id, words.data(),
-                                        nwords);
+                                           scratch_.data(), l.words)
+                    : artifact_->fnPop_(inst_, prim_id, scratch_.data(),
+                                        l.words);
     if (rc < 0) {
         panic("gencc: pop(" + std::to_string(prim_id) +
               ") rejected with " + std::to_string(rc) +
               " (id unknown or word count mismatch)");
     }
-    ok = rc == 1;
-    if (!ok)
-        return Value();
-    BitCursor cursor(words.data(), static_cast<size_t>(nwords));
-    return type->unpackWords(cursor);
+    if (rc != 1)
+        return false;
+    marshaled_++;
+    BitCursor cursor(scratch_.data(), static_cast<size_t>(l.words));
+    out = l.type->unpackWords(cursor);
+    return true;
 }
 
 bool
 CompiledPartition::popPrim(int prim_id, Value &out)
 {
     checkThread("popPrim");
-    const ElabProgram &prog = artifact_->program();
-    const ElabPrim &p = prog.prims[static_cast<size_t>(prim_id)];
-    bool ok = false;
-    out = popValue(prim_id, p.type, false, ok);
-    return ok;
+    return popValue(prim_id, false, out);
 }
 
 bool
 CompiledPartition::popDevice(int prim_id, Value &out)
 {
     checkThread("popDevice");
-    auto it = artifact_->deviceTypes_.find(prim_id);
-    if (it == artifact_->deviceTypes_.end())
-        panic("gencc: popDevice on non-device prim " +
-              std::to_string(prim_id));
-    bool ok = false;
-    out = popValue(prim_id, it->second, true, ok);
-    return ok;
+    return popValue(prim_id, true, out);
+}
+
+std::size_t
+CompiledPartition::primSize(int prim_id)
+{
+    checkThread("primSize");
+    int n = artifact_->fnSize_(inst_, prim_id);
+    if (n < 0)
+        panic("gencc: prim_size(" + std::to_string(prim_id) +
+              ") on an unknown FIFO");
+    return static_cast<std::size_t>(n);
+}
+
+void
+CompiledPartition::reservePrim(int prim_id, std::size_t n)
+{
+    checkThread("reservePrim");
+    if (artifact_->fnReserve_(inst_, prim_id, static_cast<int>(n)) < 0)
+        panic("gencc: prim_reserve(" + std::to_string(prim_id) +
+              ") on an unknown FIFO");
 }
 
 bool

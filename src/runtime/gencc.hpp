@@ -44,30 +44,30 @@
  *
  * Thread confinement: a generated *instance* is single-threaded
  * state; every mutating ABI call (runToQuiescence / pushPrim /
- * popPrim / popDevice / callActionMethod) must come from one thread
- * at a time. The partition *enforces* this per instance — the first
- * mutating call binds the owning thread and a call from any other
- * thread panics — so a parallel co-simulation (or serving pool) that
- * accidentally shared an instance across workers fails loudly
- * instead of corrupting the shadow state. Two instances of the same
- * artifact are independent and may be driven from two threads
- * concurrently. Ownership of one instance moves between threads only
- * through an explicit rebindThread() at a synchronization point (the
- * co-simulation calls it at epoch-barrier boundaries; the serving
- * pool calls it when a session is requeued so the next worker can
- * claim it). Counter reads (rulesFired / rulesAttempted) do not bind
- * ownership, but they read plain (non-atomic) counters inside the
- * shared object — reading them while another thread is actively
- * driving the instance is a data race; read them from the owning
- * thread, or from anywhere only across a synchronization point with
- * the owner quiesced (join, barrier, pool drain).
+ * popPrim / popDevice / primSize / reservePrim / callActionMethod)
+ * must come from one thread at a time. The partition *enforces* this
+ * per instance — the first mutating call binds the owning thread and
+ * a call from any other thread panics — so a parallel co-simulation
+ * (or serving pool) that accidentally shared an instance across
+ * workers fails loudly instead of corrupting the shadow state. Two
+ * instances of the same artifact are independent and may be driven
+ * from two threads concurrently. Ownership of one instance moves
+ * between threads only through an explicit rebindThread() at a
+ * synchronization point (the co-simulation calls it at epoch-barrier
+ * boundaries; the serving pool calls it when a session is requeued so
+ * the next worker can claim it). Counter reads (rulesFired /
+ * rulesAttempted) do not bind ownership, but they read plain
+ * (non-atomic) counters inside the shared object — reading them while
+ * another thread is actively driving the instance is a data race;
+ * read them from the owning thread, or from anywhere only across a
+ * synchronization point with the owner quiesced (join, barrier, pool
+ * drain).
  */
 #ifndef BCL_RUNTIME_GENCC_HPP
 #define BCL_RUNTIME_GENCC_HPP
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -204,11 +204,20 @@ class CompiledArtifact
     /** Delete what this artifact emitted (unless keepArtifacts). */
     void removeEmitted();
 
+    /** How one primitive's messages cross the ABI. */
+    struct PayloadLayout
+    {
+        TypePtr type;  ///< null: not ABI-visible
+        int words = 0;
+        bool device = false;  ///< AudioDev (drained by dev_pop)
+    };
+
     ElabProgram prog_;  ///< private copy: lifetime self-contained
     GenccOptions opts_;
-    /** Device payload types, resolved once at load (deriving one is
-     *  a whole-program scan — see devicePayloadType). */
-    std::map<int, TypePtr> deviceTypes_;
+    /** Per prim id, resolved once at load (deriving a device payload
+     *  type is a whole-program scan — see devicePayloadType). */
+    std::vector<PayloadLayout> payloads_;
+    std::size_t maxPayloadWords_ = 1;  ///< largest payload (>= 1)
     std::string source_;
     std::string dir_;
     std::string so_;
@@ -223,6 +232,8 @@ class CompiledArtifact
     std::uint64_t (*fnStat_)(void *, int) = nullptr;
     int (*fnPush_)(void *, int, const std::uint32_t *, int) = nullptr;
     int (*fnPop_)(void *, int, std::uint32_t *, int) = nullptr;
+    int (*fnSize_)(void *, int) = nullptr;
+    int (*fnReserve_)(void *, int, int) = nullptr;
     int (*fnDevPop_)(void *, int, std::uint32_t *, int) = nullptr;
     int (*fnCall_)(void *, int, const std::uint32_t *, int) = nullptr;
     int (*fnWords_)(int) = nullptr;
@@ -290,6 +301,19 @@ class CompiledPartition
      *  @return false when no undrained output remains. */
     bool popDevice(int prim_id, Value &out);
 
+    /** Live elements of FIFO-kind primitive @p prim_id (no
+     *  marshaling). */
+    std::size_t primSize(int prim_id);
+
+    /** Hold @p n slots of FIFO-kind primitive @p prim_id as occupied
+     *  for its enqueue guards (gen::Fifo::reserve): the undelivered
+     *  backlog of a SyncTx mirror. */
+    void reservePrim(int prim_id, std::size_t n);
+
+    /** Cumulative messages marshaled across the ABI by successful
+     *  pushPrim / popPrim / popDevice calls on this instance. */
+    std::uint64_t messagesMarshaled() const { return marshaled_; }
+
     /**
      * Invoke root-interface action method @p meth_id transactionally
      * (same all-or-nothing contract as Interp::callActionMethod).
@@ -337,8 +361,12 @@ class CompiledPartition
      *  the same instance through bcl_gen_hw_cycle. */
     friend class CompiledHwPartition;
 
-    Value popValue(int prim_id, const TypePtr &type, bool device,
-                   bool &ok);
+    /** The layout of @p prim_id; panics unless it is ABI-visible as
+     *  a device (@p device) or a FIFO. */
+    const CompiledArtifact::PayloadLayout &layout(int prim_id,
+                                                  bool device) const;
+
+    bool popValue(int prim_id, bool device, Value &out);
 
     /** Bind-or-verify the owning thread (see file comment). */
     void checkThread(const char *op);
@@ -349,6 +377,9 @@ class CompiledPartition
 
     std::shared_ptr<const CompiledArtifact> artifact_;
     void *inst_ = nullptr;
+    /** Pop target, sized once for the artifact's largest payload. */
+    std::vector<std::uint32_t> scratch_;
+    std::uint64_t marshaled_ = 0;
 };
 
 } // namespace bcl

@@ -480,10 +480,73 @@ TEST(CodegenHw, RayFullHwCosimMatchesInterpreted)
     EXPECT_EQ(got.messages, ref.messages);
 }
 
+/** The ray split partitioning (SW + HWT/HWX/HWG), @p w x @p h over
+ *  a @p prims-sphere scene, ready for CoSim. */
+PartitionResult
+raySplitParts(int w, int h, int prims, int sync_depth = 4)
+{
+    ray::RayConfig rcfg = ray::splitRayConfig(w, h);
+    rcfg.syncDepth = sync_depth;
+    std::vector<ray::Sphere> scene = ray::makeScene(prims);
+    Program prog = ray::makeRayProgram(rcfg, scene, ray::buildBvh(scene),
+                                       ray::makeCamera());
+    ElabProgram elab = elaborate(prog);
+    return partitionProgram(elab, inferDomains(elab));
+}
+
+/** What a ray split run observably did, per hardware domain in
+ *  HWT/HWX/HWG order. */
+struct SplitRun
+{
+    std::vector<std::uint32_t> pixels;
+    std::uint64_t cycles = 0, messages = 0;
+    std::vector<std::vector<std::uint64_t>> perRule;
+    std::vector<std::uint64_t> hwCycles, hwFired;
+    /** Messages each compiled domain marshaled across the ABI, and
+     *  the channel messages it received plus those it sent. */
+    std::vector<std::uint64_t> marshaled, channelMessages;
+};
+
+SplitRun
+runSplit(const PartitionResult &parts, std::uint64_t npix,
+         const CosimConfig &cfg)
+{
+    SplitRun r;
+    CoSim cosim(parts, cfg);
+    const ElabProgram &sw = parts.part("SW").prog;
+    const int done = sw.primByPath("doneCnt");
+    const int fb = sw.primByPath("fb");
+    r.cycles = cosim.run([&](CoSim &cs) {
+        return cs.storeOf("SW").at(done).val.asUInt() == npix;
+    });
+    for (const Value &px : cosim.storeOf("SW").at(fb).val.elems())
+        r.pixels.push_back(static_cast<std::uint32_t>(px.asUInt()));
+    for (const auto &chan : cosim.channels())
+        r.messages += chan->stats().messages;
+    for (const char *d : {"HWT", "HWX", "HWG"}) {
+        const HwStats *st = cosim.hwStats(d);
+        EXPECT_NE(st, nullptr) << d;
+        if (!st)
+            continue;
+        r.perRule.push_back(st->perRuleFires);
+        r.hwCycles.push_back(st->cycles);
+        r.hwFired.push_back(st->rulesFired);
+        std::uint64_t crossing = 0;
+        for (const auto &chan : cosim.channels()) {
+            if (chan->spec().fromDomain == d || chan->spec().toDomain == d)
+                crossing += chan->stats().messages;
+        }
+        r.channelMessages.push_back(crossing);
+        const CompiledPartition *cp = cosim.compiled(d);
+        r.marshaled.push_back(cp ? cp->messagesMarshaled() : 0);
+    }
+    return r;
+}
+
 /**
- * The ray split partitioning (SW + HWT/HWX/HWG) with every hardware
- * domain on the compiled clock edge, its artifacts compiled once as
- * one translation unit each and once with every generated unit in its
+ * The ray split partitioning with every hardware domain on the
+ * compiled clock edge, its artifacts compiled once as one
+ * translation unit each and once with every generated unit in its
  * own shard: pixels, cycles, messages and every domain's per-rule
  * fire counts must be identical.
  */
@@ -492,26 +555,12 @@ TEST(CodegenHw, RaySplitShardedMatchesSingleUnit)
     REQUIRE_HOST_COMPILER();
     namespace fs = std::filesystem;
     const int w = 6, h = 6, prims = 32;
-    const ray::RayConfig rcfg = ray::splitRayConfig(w, h);
-    std::vector<ray::Sphere> scene = ray::makeScene(prims);
-    Program prog = ray::makeRayProgram(rcfg, scene, ray::buildBvh(scene),
-                                       ray::makeCamera());
-    ElabProgram elab = elaborate(prog);
-    PartitionResult parts = partitionProgram(elab, inferDomains(elab));
+    const PartitionResult parts = raySplitParts(w, h, prims);
     const fs::path dir = fs::temp_directory_path() /
                          ("bcl_shard_hw_" + std::to_string(::getpid()));
     fs::create_directories(dir);
 
-    struct Run
-    {
-        std::vector<std::uint32_t> pixels;
-        std::uint64_t cycles = 0, messages = 0;
-        std::vector<std::vector<std::uint64_t>> perRule;
-        std::vector<std::uint64_t> hwCycles, hwFired;
-        int jobs = 0;
-    };
-    auto run = [&](bool per_unit) {
-        Run r;
+    auto run = [&](bool per_unit, int &jobs) {
         int n = 0;
         CosimConfig cfg;
         cfg.hwBackend = HwBackend::Compiled;
@@ -527,7 +576,7 @@ TEST(CodegenHw, RaySplitShardedMatchesSingleUnit)
             }
             if (per_unit)
                 plan.erase(plan.begin());
-            r.jobs += static_cast<int>(plan.size());
+            jobs += static_cast<int>(plan.size());
             const std::string stem =
                 (dir / ((per_unit ? "unit" : "one") + std::to_string(n++)))
                     .string();
@@ -536,35 +585,15 @@ TEST(CodegenHw, RaySplitShardedMatchesSingleUnit)
             reuse.reuseSoPath = stem + ".so";
             return std::make_shared<const CompiledArtifact>(p, reuse);
         };
-        CoSim cosim(parts, cfg);
-        const ElabProgram &sw = parts.part("SW").prog;
-        const int done = sw.primByPath("doneCnt");
-        const int fb = sw.primByPath("fb");
-        r.cycles = cosim.run([&](CoSim &cs) {
-            return cs.storeOf("SW").at(done).val.asUInt() ==
-                   static_cast<std::uint64_t>(w * h);
-        });
-        for (const Value &px : cosim.storeOf("SW").at(fb).val.elems())
-            r.pixels.push_back(static_cast<std::uint32_t>(px.asUInt()));
-        for (const char *d : {"HWT", "HWX", "HWG"}) {
-            const HwStats *st = cosim.hwStats(d);
-            EXPECT_NE(st, nullptr) << d;
-            if (!st)
-                continue;
-            r.perRule.push_back(st->perRuleFires);
-            r.hwCycles.push_back(st->cycles);
-            r.hwFired.push_back(st->rulesFired);
-        }
-        for (const auto &chan : cosim.channels())
-            r.messages += chan->stats().messages;
-        return r;
+        return runSplit(parts, static_cast<std::uint64_t>(w * h), cfg);
     };
-    const Run one = run(false);
-    const Run sharded = run(true);
+    int oneJobs = 0, shardedJobs = 0;
+    const SplitRun one = run(false, oneJobs);
+    const SplitRun sharded = run(true, shardedJobs);
     fs::remove_all(dir);
 
-    EXPECT_EQ(one.jobs, 3);
-    EXPECT_GT(sharded.jobs, 3) << "every domain split into its units";
+    EXPECT_EQ(oneJobs, 3);
+    EXPECT_GT(shardedJobs, 3) << "every domain split into its units";
     ASSERT_EQ(one.pixels.size(), static_cast<size_t>(w * h));
     EXPECT_EQ(sharded.pixels, one.pixels);
     EXPECT_EQ(sharded.cycles, one.cycles);
@@ -572,6 +601,89 @@ TEST(CodegenHw, RaySplitShardedMatchesSingleUnit)
     EXPECT_EQ(sharded.perRule, one.perRule);
     EXPECT_EQ(sharded.hwCycles, one.hwCycles);
     EXPECT_EQ(sharded.hwFired, one.hwFired);
+}
+
+/**
+ * Capacity-1 synchronizers make the compiled domains' reserved
+ * SyncTx slots and full SyncRx fifos bind on almost every edge. The
+ * compiled ray split must still match the interpreted one: pixels,
+ * cycles, messages and per-domain fires at threads=1; pixels and
+ * fires at threads=2 (cycles may legally shift within an epoch).
+ */
+TEST(CodegenHw, RaySplitCapacityOneMatchesInterpreted)
+{
+    REQUIRE_HOST_COMPILER();
+    const int w = 6, h = 6, prims = 32;
+    const PartitionResult parts = raySplitParts(w, h, prims, 1);
+    const std::uint64_t npix = static_cast<std::uint64_t>(w * h);
+    const SplitRun ref = runSplit(parts, npix, CosimConfig{});
+    ASSERT_EQ(ref.pixels.size(), npix);
+
+    for (const int threads : {1, 2}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        CosimConfig cfg;
+        cfg.hwBackend = HwBackend::Compiled;
+        cfg.threads = threads;
+        const SplitRun got = runSplit(parts, npix, cfg);
+        EXPECT_EQ(got.pixels, ref.pixels);
+        EXPECT_EQ(got.hwFired, ref.hwFired);
+        if (threads == 1) {
+            EXPECT_EQ(got.cycles, ref.cycles);
+            EXPECT_EQ(got.messages, ref.messages);
+            EXPECT_EQ(got.hwCycles, ref.hwCycles);
+        }
+    }
+}
+
+/**
+ * The ray split's engines answer one request at a time, so a compiled
+ * producer there never meets an undelivered backlog. The Vorbis
+ * per-stage split streams sub-blocks between hardware domains, and at
+ * depth 1 the compiled producers' reserved SyncTx slots bind: PCM,
+ * cycles, messages and fires must still match the interpreter.
+ */
+TEST(CodegenHw, VorbisSplitCapacityOneMatchesInterpreted)
+{
+    REQUIRE_HOST_COMPILER();
+    const int frames = 2;
+    vorbis::VorbisConfig vcfg = vorbis::splitVorbisConfig();
+    vcfg.syncDepth = 1;
+    const vorbis::VorbisRunResult ref =
+        vorbis::runVorbisConfig(vcfg, frames);
+    ASSERT_FALSE(ref.pcm.empty());
+
+    CosimConfig cfg;
+    cfg.hwBackend = HwBackend::Compiled;
+    const vorbis::VorbisRunResult got =
+        vorbis::runVorbisConfig(vcfg, frames, &cfg);
+    EXPECT_EQ(got.pcm, ref.pcm);
+    EXPECT_EQ(got.hwRuleFires, ref.hwRuleFires);
+    EXPECT_EQ(got.fpgaCycles, ref.fpgaCycles);
+    EXPECT_EQ(got.messages, ref.messages);
+}
+
+/**
+ * The mirror sync moves each channel message across the generated
+ * ABI exactly once: every compiled domain's marshal count equals the
+ * channel messages it received plus those it sent. A sync that
+ * re-fed queued messages or prefilled placeholders on every edge
+ * would marshal many times more.
+ */
+TEST(CodegenHw, RaySplitMarshalsEachMessageOnce)
+{
+    REQUIRE_HOST_COMPILER();
+    const int w = 6, h = 6, prims = 32;
+    const PartitionResult parts = raySplitParts(w, h, prims);
+    CosimConfig cfg;
+    cfg.hwBackend = HwBackend::Compiled;
+    const SplitRun r =
+        runSplit(parts, static_cast<std::uint64_t>(w * h), cfg);
+    ASSERT_EQ(r.marshaled.size(), 3u);
+    for (size_t i = 0; i < r.marshaled.size(); i++) {
+        SCOPED_TRACE("domain " + std::to_string(i));
+        EXPECT_GT(r.channelMessages[i], 0u);
+        EXPECT_EQ(r.marshaled[i], r.channelMessages[i]);
+    }
 }
 
 } // namespace

@@ -148,6 +148,43 @@ TEST(GenSupportProperty, FifoShadowCommitRollbackAndGuards)
     EXPECT_EQ(fifo.contents(), (std::vector<std::int32_t>{2, 3, 7}));
 }
 
+/** Reserved slots (the host's SyncTx backlog) count toward the
+ *  enqueue guards only, and no rollback touches them. */
+TEST(GenSupportProperty, FifoReservedSlotsGateEnqueue)
+{
+    gen::Fifo<std::int32_t> fifo{3};
+    fifo.reserve(2);
+    EXPECT_TRUE(fifo.canEnq());
+    EXPECT_TRUE(fifo.notFull());
+    EXPECT_FALSE(fifo.notEmpty()) << "reserved slots hold no element";
+
+    auto shadow = fifo.shadow();
+    fifo.enq(1);  // count 1 + reserved 2 == capacity
+    EXPECT_FALSE(fifo.canEnq());
+    EXPECT_FALSE(fifo.notFull());
+    EXPECT_THROW(fifo.enq(2), gen::GuardFail);
+    EXPECT_EQ(fifo.contents(), (std::vector<std::int32_t>{1}));
+
+    // Rollback restores the elements and keeps the reservation: one
+    // slot stays free.
+    fifo.rollback(shadow);
+    EXPECT_EQ(fifo.size(), 0u);
+    fifo.enq(7);
+    EXPECT_FALSE(fifo.canEnq());
+    fifo.deq();
+
+    fifo.reserve(3);
+    EXPECT_FALSE(fifo.canEnq());
+    EXPECT_THROW(fifo.enq(3), gen::GuardFail);
+
+    fifo.reserve(0);
+    for (std::int32_t v : {4, 5, 6})
+        fifo.enq(v);
+    EXPECT_FALSE(fifo.canEnq());
+    EXPECT_EQ(fifo.contents(), (std::vector<std::int32_t>{4, 5, 6}));
+    EXPECT_EQ(fifo.first(), 4);
+}
+
 TEST(GenSupportProperty, BramShadowCommitRollback)
 {
     Rng rng(0xB4A8u);
