@@ -2,9 +2,10 @@
  * @file
  * Command-line flags for the bench drivers. Every flag takes exactly
  * one value (`--name VALUE`). An unknown flag (including `--help`), a
- * missing value or a malformed integer prints the usage text to
- * stderr and exits with status 2, so a mistyped flag can never run a
- * sweep with defaults it did not ask for.
+ * missing value, a malformed or out-of-range integer or an unknown
+ * platform prints the usage text to stderr and exits with status 2,
+ * so a mistyped flag can never run a sweep with defaults it did not
+ * ask for.
  */
 #ifndef BCL_BENCH_BENCH_FLAGS_HPP
 #define BCL_BENCH_BENCH_FLAGS_HPP
@@ -17,6 +18,9 @@
 #include <functional>
 #include <string>
 #include <vector>
+
+#include "common/logging.hpp"
+#include "platform/platform_spec.hpp"
 
 namespace bcl {
 namespace bench {
@@ -38,16 +42,17 @@ class Flags
         return *this;
     }
 
-    /** Integer flag (the whole value must parse). */
+    /** Integer flag (the whole value must parse, and be >= @p min). */
     Flags &
-    add(const char *name, const char *meta, const char *help, int *out)
+    add(const char *name, const char *meta, const char *help, int *out,
+        int min = INT_MIN)
     {
-        flags_.push_back({name, meta, help, [out](const char *v) {
+        flags_.push_back({name, meta, help, [out, min](const char *v) {
                               char *end = nullptr;
                               errno = 0;
                               long n = std::strtol(v, &end, 10);
                               if (errno != 0 || end == v || *end != '\0' ||
-                                  n < INT_MIN || n > INT_MAX)
+                                  n < min || n > INT_MAX)
                                   return false;
                               *out = static_cast<int>(n);
                               return true;
@@ -83,6 +88,25 @@ class Flags
     {
         flags_.push_back({name, meta, help, std::move(parse)});
         return *this;
+    }
+
+    /** `--platform FILE|PRESET`, resolved into @p out at parse time;
+     *  a bad preset or config file prints its diagnostic and the
+     *  usage. */
+    Flags &
+    addPlatform(PlatformSpec *out)
+    {
+        return add("--platform", "FILE|PRESET",
+                   "platform model: a preset or a configs/*.config file",
+                   [out](const char *v) {
+                       try {
+                           *out = resolvePlatform(v);
+                           return true;
+                       } catch (const FatalError &err) {
+                           std::fprintf(stderr, "%s\n", err.what());
+                           return false;
+                       }
+                   });
     }
 
     /** Apply argv; exits with the usage text on any error. */

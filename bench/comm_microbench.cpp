@@ -23,9 +23,9 @@
  */
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 
+#include "bench_flags.hpp"
 #include "common/stats.hpp"
 #include "core/builder.hpp"
 #include "core/domains.hpp"
@@ -128,13 +128,8 @@ main(int argc, char **argv)
     // measurement; the default is the paper's ml507 calibration with
     // the pcie preset printed for comparison.
     PlatformSpec plat = PlatformSpec::ml507();
-    bool plat_overridden = false;
-    for (int i = 1; i < argc; i++) {
-        if (std::strcmp(argv[i], "--platform") == 0 && i + 1 < argc) {
-            plat = resolvePlatform(argv[++i]);
-            plat_overridden = true;
-        }
-    }
+    bench::Flags("comm_microbench").addPlatform(&plat).parse(argc, argv);
+    const bool plat_overridden = plat.name != "ml507";
 
     std::printf("== Section 7 platform characterization "
                 "(platform: %s) ==\n\n",

@@ -16,9 +16,8 @@
  * on the ml507 platform model).
  */
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
+#include "bench_flags.hpp"
 #include "common/stats.hpp"
 #include "platform/platform_spec.hpp"
 #include "ray/native.hpp"
@@ -32,14 +31,11 @@ main(int argc, char **argv)
 {
     int size = 24, prims = 1024;
     CosimConfig cfg;
-    for (int i = 1; i < argc; i++) {
-        if (std::strcmp(argv[i], "--size") == 0 && i + 1 < argc)
-            size = std::atoi(argv[++i]);
-        if (std::strcmp(argv[i], "--prims") == 0 && i + 1 < argc)
-            prims = std::atoi(argv[++i]);
-        if (std::strcmp(argv[i], "--platform") == 0 && i + 1 < argc)
-            cfg.platform = resolvePlatform(argv[++i]);
-    }
+    bench::Flags("fig13_raytrace")
+        .add("--size", "N", "image width and height", &size, 1)
+        .add("--prims", "P", "spheres in the scene", &prims, 1)
+        .addPlatform(&cfg.platform)
+        .parse(argc, argv);
 
     std::printf("== Figure 13 (right): ray tracer partitions, %dx%d "
                 "image, %d primitives (platform: %s) ==\n\n",

@@ -31,10 +31,9 @@
  */
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
+#include "bench_flags.hpp"
 #include "common/logging.hpp"
 #include "common/stats.hpp"
 #include "platform/platform_spec.hpp"
@@ -134,21 +133,15 @@ main(int argc, char **argv)
     int frames = 512;
     std::string json_path;
     std::string hw_backend = "interpreted";
-    std::string platform_arg;
-    for (int i = 1; i < argc; i++) {
-        if (std::strcmp(argv[i], "--frames") == 0 && i + 1 < argc)
-            frames = std::atoi(argv[++i]);
-        else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-            json_path = argv[++i];
-        else if (std::strcmp(argv[i], "--hw-backend") == 0 &&
-                 i + 1 < argc)
-            hw_backend = argv[++i];
-        else if (std::strcmp(argv[i], "--platform") == 0 &&
-                 i + 1 < argc)
-            platform_arg = argv[++i];
-    }
-    if (frames <= 0)
-        frames = 512;
+    CosimConfig cfg;
+    bench::Flags("fig13_vorbis")
+        .add("--frames", "N", "frames per partition run", &frames, 1)
+        .add("--json", "FILE", "write full-SW metrics as JSON",
+             &json_path)
+        .add("--hw-backend", {"interpreted", "compiled"},
+             "how hardware domains are clocked", &hw_backend)
+        .addPlatform(&cfg.platform)
+        .parse(argc, argv);
     if (hw_backend == "compiled" &&
         !CompiledHwPartition::hostCompilerAvailable()) {
         std::printf("no host C++ compiler — falling back to the "
@@ -163,9 +156,6 @@ main(int argc, char **argv)
                 "400 MHz)\n\n");
 
     serve::CompileCache cache;
-    CosimConfig cfg;
-    if (!platform_arg.empty())
-        cfg.platform = resolvePlatform(platform_arg);
     if (hw_backend == "compiled") {
         cfg.hwBackend = HwBackend::Compiled;
         cfg.compileProvider = [&cache](const ElabProgram &p,

@@ -15,8 +15,8 @@
  *     (the figure of merit that makes the pipelined design win).
  */
 #include <cstdio>
-#include <cstring>
 
+#include "bench_flags.hpp"
 #include "common/stats.hpp"
 #include "platform/platform_spec.hpp"
 #include "core/builder.hpp"
@@ -113,10 +113,7 @@ main(int argc, char **argv)
     // --platform FILE|PRESET supplies the functional-unit delay
     // weights (hw_delay lines); the default is the ml507 calibration.
     PlatformSpec plat = PlatformSpec::ml507();
-    for (int i = 1; i < argc; i++) {
-        if (std::strcmp(argv[i], "--platform") == 0 && i + 1 < argc)
-            plat = resolvePlatform(argv[++i]);
-    }
+    bench::Flags("ifft_hw").addPlatform(&plat).parse(argc, argv);
     std::printf("== Section 4.5: IFFT microarchitectures "
                 "(platform: %s) ==\n\n",
                 plat.name.c_str());

@@ -39,13 +39,12 @@
  */
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_flags.hpp"
 #include "common/stats.hpp"
 #include "platform/platform_spec.hpp"
 #include "ray/partitions.hpp"
@@ -281,32 +280,21 @@ main(int argc, char **argv)
     int ray_prims = 64;
     std::string hw_backend = "interpreted";
     std::string json_path;
-    std::string platform_arg;
-    for (int i = 1; i < argc; i++) {
-        if (std::strcmp(argv[i], "--frames") == 0 && i + 1 < argc)
-            frames = std::atoi(argv[++i]);
-        else if (std::strcmp(argv[i], "--compare-frames") == 0 &&
-                 i + 1 < argc)
-            cmp_frames = std::atoi(argv[++i]);
-        else if (std::strcmp(argv[i], "--ray-size") == 0 &&
-                 i + 1 < argc)
-            ray_size = std::atoi(argv[++i]);
-        else if (std::strcmp(argv[i], "--ray-prims") == 0 &&
-                 i + 1 < argc)
-            ray_prims = std::atoi(argv[++i]);
-        else if (std::strcmp(argv[i], "--hw-backend") == 0 &&
-                 i + 1 < argc)
-            hw_backend = argv[++i];
-        else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-            json_path = argv[++i];
-        else if (std::strcmp(argv[i], "--platform") == 0 &&
-                 i + 1 < argc)
-            platform_arg = argv[++i];
-    }
-    if (frames <= 0)
-        frames = 32;
-    if (cmp_frames <= 0)
-        cmp_frames = 256;
+    CosimConfig base;
+    bench::Flags("partition_sweep")
+        .add("--frames", "N", "Vorbis frames of the frontier sweep",
+             &frames, 1)
+        .add("--compare-frames", "N",
+             "Vorbis frames of the backend comparison", &cmp_frames, 1)
+        .add("--ray-size", "W", "ray image width and height", &ray_size,
+             1)
+        .add("--ray-prims", "P", "spheres in the ray scene", &ray_prims,
+             1)
+        .add("--hw-backend", {"interpreted", "compiled"},
+             "backend of the frontier sweep", &hw_backend)
+        .add("--json", "FILE", "write the sweep as JSON", &json_path)
+        .addPlatform(&base.platform)
+        .parse(argc, argv);
 
     serve::CompileCache cache;
     if (hw_backend == "compiled" &&
@@ -315,10 +303,6 @@ main(int argc, char **argv)
                     "back to the interpreted hardware backend\n");
         hw_backend = "interpreted";
     }
-
-    CosimConfig base;
-    if (!platform_arg.empty())
-        base.platform = resolvePlatform(platform_arg);
 
     std::printf("== Section 7.1: communication cost vs partition "
                 "choice (Vorbis, %d frames, %s hw backend, %s "

@@ -26,12 +26,11 @@
  */
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "bench_flags.hpp"
 #include "platform/platform_spec.hpp"
 #include "ray/partitions.hpp"
 #include "vorbis/partitions.hpp"
@@ -158,18 +157,16 @@ main(int argc, char **argv)
     int ray_prims = 64;
     std::string configs_dir = "configs";
     std::string json_path;
-    for (int i = 1; i < argc; i++) {
-        if (!strcmp(argv[i], "--frames") && i + 1 < argc)
-            frames = atoi(argv[++i]);
-        else if (!strcmp(argv[i], "--ray-size") && i + 1 < argc)
-            ray_size = atoi(argv[++i]);
-        else if (!strcmp(argv[i], "--ray-prims") && i + 1 < argc)
-            ray_prims = atoi(argv[++i]);
-        else if (!strcmp(argv[i], "--configs") && i + 1 < argc)
-            configs_dir = argv[++i];
-        else if (!strcmp(argv[i], "--json") && i + 1 < argc)
-            json_path = argv[++i];
-    }
+    bench::Flags("platform_sweep")
+        .add("--frames", "N", "Vorbis frames per run", &frames, 1)
+        .add("--ray-size", "N", "ray image width and height", &ray_size,
+             1)
+        .add("--ray-prims", "N", "spheres in the ray scene", &ray_prims,
+             1)
+        .add("--configs", "DIR", "directory of the scenario configs",
+             &configs_dir)
+        .add("--json", "FILE", "write the sweep as JSON", &json_path)
+        .parse(argc, argv);
 
     std::vector<Scenario> scenarios;
     {

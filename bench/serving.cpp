@@ -17,8 +17,8 @@
  *
  * On a 1-core container workers serialize, so streams/sec measures
  * per-stream cost plus scheduling overhead, not parallel scaling —
- * read the recorded hardware_concurrency/workers (same caveat as
- * cosim_parallel; see docs/EXPERIMENTS.md).
+ * read the recorded hardware_concurrency/workers (see
+ * docs/EXPERIMENTS.md).
  *
  * Usage: serving [--sessions 100,1000,10000] [--frames N]
  *                [--workers W] [--backend compiled|interpreted]

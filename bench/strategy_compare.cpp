@@ -24,10 +24,10 @@
  */
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench_flags.hpp"
 #include "common/logging.hpp"
 #include "common/stats.hpp"
 #include "core/domains.hpp"
@@ -187,14 +187,10 @@ main(int argc, char **argv)
 {
     int frames = 128;
     std::string json_path;
-    for (int i = 1; i < argc; i++) {
-        if (std::strcmp(argv[i], "--frames") == 0 && i + 1 < argc)
-            frames = std::atoi(argv[++i]);
-        else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-            json_path = argv[++i];
-    }
-    if (frames <= 0)
-        frames = 128;
+    bench::Flags("strategy_compare")
+        .add("--frames", "N", "Vorbis frames per strategy", &frames, 1)
+        .add("--json", "FILE", "write the ladder as JSON", &json_path)
+        .parse(argc, argv);
 
     if (!CompiledPartition::hostCompilerAvailable()) {
         std::printf("strategy_compare: no host C++ compiler — compiled "

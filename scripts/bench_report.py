@@ -10,11 +10,6 @@ Runs the built benchmarks and merges their machine-readable output:
   - strategy_compare --json: the section 6.3 compiled-execution cost
     ladder (interpreter vs generated Naive/Inlined/Lifted C++, all
     bit-exact), skipped when no host compiler is available,
-  - cosim_parallel --json: parallel co-simulation scaling — wall-clock
-    and speedup per thread count over every Vorbis/ray partitioning
-    including the >=3-domain per-stage splits, with the host's
-    hardware_concurrency recorded so single-core runs read as the
-    overhead measurements they are,
   - partition_sweep --json: the section 7.1 communication-cost
     frontier (FPGA-cycle ratio of every Vorbis partition vs full
     software as the per-message driver cost grows) plus the
@@ -26,7 +21,7 @@ Runs the built benchmarks and merges their machine-readable output:
     (surfaced as the top-level "hw_backend" section),
   - sw_runtime_opts (Google Benchmark, optional): scheduling/lifting/
     sequentialization ablations with wall-clock per run,
-  - the "transports" section: cosim_parallel and serving re-run once
+  - the "transports" section: executor_matrix and serving re-run once
     per channel transport (in-thread, forked shm rings, framed
     loopback TCP) at small sizes, recording per-transport throughput
     and frame latency — the relay cost of distributing LIBDN
@@ -37,8 +32,14 @@ Runs the built benchmarks and merges their machine-readable output:
 The assembled report also carries a top-level "metrics_snapshot"
 section: the src/obs/ typed-registry dumps from the serving sweep
 (pool/cache/session metrics) and the per-channel traffic of each
-cosim_parallel workload, under the stable metric names documented in
-docs/ARCHITECTURE.md ("Observability").
+in-thread executor_matrix workload, under the stable metric names
+documented in docs/ARCHITECTURE.md ("Observability").
+
+The script exits nonzero when a section it is supposed to write is
+missing from its output: every section whose bench is built, except
+the compiled ladder on a host without a C++ compiler. A bench that
+crashed or wrote no JSON therefore fails the report instead of
+silently dropping its section.
 
 Usage:
   scripts/bench_report.py --build-dir build [--out BENCH_runtime.json]
@@ -52,6 +53,7 @@ artifact so the trajectory accumulates per commit.
 import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -97,33 +99,6 @@ def run_strategy_compare(build_dir, frames):
         if os.path.getsize(tmp_path) == 0:
             # The bench exits 0 without writing JSON when no host
             # compiler is available.
-            return None
-        with open(tmp_path) as f:
-            return json.load(f)
-    finally:
-        os.unlink(tmp_path)
-
-
-def run_cosim_parallel(build_dir, frames):
-    """Parallel co-simulation scaling sweep (thread counts over every
-    Vorbis/ray partitioning incl. the >=3-domain splits). Speedups
-    are physical: on a single-core runner they sit near 1x — read
-    them against the recorded hardware_concurrency."""
-    exe = os.path.join(build_dir, "cosim_parallel")
-    if not os.path.exists(exe):
-        return None
-    with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as tmp:
-        tmp_path = tmp.name
-    try:
-        try:
-            subprocess.run(
-                [exe, "--frames", str(frames), "--json", tmp_path],
-                check=True,
-                stdout=subprocess.DEVNULL,
-            )
-        except subprocess.CalledProcessError as err:
-            print(f"warning: {exe} failed ({err}); omitting scaling",
-                  file=sys.stderr)
             return None
         with open(tmp_path) as f:
             return json.load(f)
@@ -247,25 +222,27 @@ def platform_mismatches(sweep):
 
 
 def run_transports(build_dir):
-    """Per-transport relay-cost comparison: cosim_parallel (threads=1
-    wall-clock per workload) and the serving sweep (streams/sec and
-    frame latency), each re-run over the in-thread, shared-memory and
-    loopback-TCP transports at deliberately small sizes — remote
-    transports fork one child per hardware domain (per live session,
-    for serving), so this measures relay overhead, not scale."""
-    cosim_exe = os.path.join(build_dir, "cosim_parallel")
+    """Per-transport relay-cost comparison: executor_matrix (wall-clock
+    per workload, every row checked against the in-thread interpreted
+    reference) and the serving sweep (streams/sec and frame latency),
+    each re-run over the in-thread, shared-memory and loopback-TCP
+    transports at deliberately small sizes — remote transports fork
+    one child per hardware domain (per live session, for serving), so
+    this measures relay overhead, not scale. Returns the section and
+    the per-channel metrics of the in-thread matrix run."""
+    matrix_exe = os.path.join(build_dir, "executor_matrix")
     serving_exe = os.path.join(build_dir, "serving")
-    if not os.path.exists(cosim_exe) and not os.path.exists(serving_exe):
-        return None
+    if not os.path.exists(matrix_exe) and not os.path.exists(serving_exe):
+        return None, {}
 
-    def one_cosim(transport):
+    def one_matrix(transport):
         with tempfile.NamedTemporaryFile(suffix=".json",
                                          delete=False) as tmp:
             tmp_path = tmp.name
         try:
             subprocess.run(
                 [
-                    cosim_exe,
+                    matrix_exe,
                     "--frames", "4",
                     "--ray-size", "6",
                     "--ray-prims", "32",
@@ -277,16 +254,7 @@ def run_transports(build_dir):
             )
             with open(tmp_path) as f:
                 raw = json.load(f)
-            runs = {}
-            for w in raw.get("workloads", []):
-                for r in w.get("runs", []):
-                    if r["threads"] == 1:
-                        runs[w["name"]] = {
-                            "wall_ms": r["wall_ms"],
-                            "outputs_match": r["outputs_match"],
-                        }
-            return {"effective": raw.get("transport", transport),
-                    "workloads": runs}
+            return raw
         finally:
             os.unlink(tmp_path)
 
@@ -324,11 +292,28 @@ def run_transports(build_dir):
             os.unlink(tmp_path)
 
     section = {}
+    channels = {}
     for transport in ("inthread", "shm", "tcp"):
         entry = {}
         try:
-            if os.path.exists(cosim_exe):
-                entry["cosim"] = one_cosim(transport)
+            if os.path.exists(matrix_exe):
+                raw = one_matrix(transport)
+                entry["cosim"] = {
+                    "effective": raw.get("transport", transport),
+                    "workloads": {
+                        w["name"]: {
+                            "wall_ms": w["wall_ms"],
+                            "outputs_match": w["outputs_match"],
+                        }
+                        for w in raw.get("workloads", [])
+                    },
+                }
+                if transport == "inthread":
+                    channels = {
+                        w["name"]: w["metrics"]
+                        for w in raw.get("workloads", [])
+                        if w.get("metrics")
+                    }
             if os.path.exists(serving_exe):
                 entry["serving"] = one_serving(transport)
         except subprocess.CalledProcessError as err:
@@ -340,7 +325,7 @@ def run_transports(build_dir):
             continue
         if entry:
             section[transport] = entry
-    return section or None
+    return section or None, channels
 
 
 def run_sw_runtime_opts(build_dir):
@@ -389,7 +374,7 @@ def run_sw_runtime_opts(build_dir):
         os.unlink(tmp_path)
 
 
-def metrics_snapshot(serving, scaling):
+def metrics_snapshot(serving, channels):
     """Fold the benches' typed-registry snapshots (src/obs/, stable
     names documented in ARCHITECTURE.md "Observability") into one
     top-level section, so a reader of BENCH_runtime.json gets the
@@ -398,15 +383,36 @@ def metrics_snapshot(serving, scaling):
     snap = {}
     if serving is not None and "metrics" in serving:
         snap["serving"] = serving["metrics"]
-    if scaling is not None:
-        chans = {
-            w["name"]: w["metrics"]
-            for w in scaling.get("workloads", [])
-            if w.get("metrics")
-        }
-        if chans:
-            snap["cosim_channels"] = chans
+    if channels:
+        snap["cosim_channels"] = channels
     return snap
+
+
+def expected_sections(build_dir):
+    """Sections this run must write: one per built bench, except the
+    compiled ladder when no host C++ compiler exists (strategy_compare
+    then exits 0 without JSON, by design)."""
+    built = {
+        name: os.path.exists(os.path.join(build_dir, name))
+        for name in ("fig13_vorbis", "strategy_compare", "serving",
+                     "partition_sweep", "platform_sweep",
+                     "executor_matrix", "sw_runtime_opts")
+    }
+    compiler = shutil.which(os.environ.get("CXX") or "c++")
+    expected = ["fig13_vorbis"]
+    if built["strategy_compare"] and compiler:
+        expected.append("strategy_compare")
+    if built["serving"]:
+        expected.append("serving")
+    if built["partition_sweep"]:
+        expected += ["partition_sweep", "hw_backend"]
+    if built["platform_sweep"]:
+        expected.append("platform_scenarios")
+    if built["executor_matrix"] or built["serving"]:
+        expected.append("transports")
+    if built["sw_runtime_opts"]:
+        expected.append("sw_runtime_opts")
+    return expected
 
 
 def main():
@@ -436,10 +442,6 @@ def main():
     ladder = run_strategy_compare(args.build_dir, args.frames)
     if ladder is not None:
         report["strategy_compare"] = ladder
-    scaling = run_cosim_parallel(args.build_dir,
-                                 min(args.frames, 16))
-    if scaling is not None:
-        report["cosim_parallel"] = scaling
     serving = run_serving(args.build_dir, args.serving_sessions,
                           args.serving_frames)
     if serving is not None:
@@ -464,20 +466,26 @@ def main():
                                    min(args.frames, 16))
     if platforms is not None:
         report["platform_scenarios"] = platforms
-    transports = run_transports(args.build_dir)
+    transports, channels = run_transports(args.build_dir)
     if transports is not None:
         report["transports"] = transports
     ablations = run_sw_runtime_opts(args.build_dir)
     if ablations is not None:
         report["sw_runtime_opts"] = ablations
 
-    snapshot = metrics_snapshot(serving, scaling)
+    snapshot = metrics_snapshot(serving, channels)
     if snapshot:
         report["metrics_snapshot"] = snapshot
 
     with open(args.out, "w") as f:
         json.dump(report, f, indent=2)
         f.write("\n")
+
+    missing = [name for name in expected_sections(args.build_dir)
+               if name not in report]
+    if missing:
+        sys.exit(f"error: {args.out} is missing expected sections: "
+                 + ", ".join(missing))
 
     full_sw = report["fig13_vorbis"]["full_sw"]
     print(f"wrote {args.out}")
@@ -501,17 +509,6 @@ def main():
         print(
             f"serving ({serving['backend']}, "
             f"workers={serving['workers']}): {line}"
-        )
-    if scaling is not None:
-        splits = {
-            w["name"]: w["best_speedup"]
-            for w in scaling["workloads"]
-            if w["domains"] >= 3
-        }
-        line = ", ".join(f"{n} {s:.2f}x" for n, s in splits.items())
-        print(
-            f"parallel cosim (hc={scaling['hardware_concurrency']}): "
-            f"{line}"
         )
     if transports is not None:
         parts = []

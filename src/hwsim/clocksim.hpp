@@ -68,9 +68,9 @@ class ClockSim
     /**
      * Externally paced stepping: clock up to @p budget cycles,
      * stopping after the first idle cycle. Unlike run(), the caller
-     * owns the clock — the co-simulation paces bursts of cycles
-     * against virtual time and polls channels between bursts, so a
-     * partition never free-runs past in-flight deliveries. @p fired
+     * owns the clock — the remote partition host clocks one slice
+     * budget per request and ships channel traffic between slices,
+     * so a partition never free-runs past in-flight deliveries. @p fired
      * accumulates rules fired across the burst. As in run(), the
      * trailing idle probe counts toward the returned cycles-consumed
      * (virtual time advanced) but not toward stats().cycles — one

@@ -56,23 +56,6 @@ CompiledHwPartition::cycle()
 }
 
 std::uint64_t
-CompiledHwPartition::stepCycles(std::uint64_t budget,
-                                std::uint64_t &fired)
-{
-    std::uint64_t used = 0;
-    while (used < budget) {
-        used++;
-        int f = cycle();
-        fired += static_cast<std::uint64_t>(f);
-        if (f == 0) {
-            stats_.cycles--;  // trailing idle probe (ClockSim)
-            break;
-        }
-    }
-    return used;
-}
-
-std::uint64_t
 CompiledHwPartition::run(std::uint64_t max_cycles)
 {
     std::uint64_t used = 0;

@@ -10,13 +10,12 @@
  * ConflictMatrix, priority = program order).
  *
  * CompiledHwPartition mirrors ClockSim's external-pacing surface —
- * cycle() / run() / stepCycles(budget, fired) / idle() / stats() — so
- * the co-simulation's transports, horizon logic and quiescence
- * detection drive either backend through one code path. Cycle
- * accounting matches ClockSim exactly, including the trailing-idle-
- * probe exclusion in run()/stepCycles(): cross-backend cycle counts
- * are comparable bit for bit, which the differential tests
- * (tests/test_codegen_hw.cpp) rely on.
+ * cycle() / run() / idle() / stats() — so the co-simulation's
+ * transports, horizon logic and quiescence detection drive either
+ * backend through one code path. Cycle accounting matches ClockSim
+ * exactly, including the trailing-idle-probe exclusion in run():
+ * cross-backend cycle counts are comparable bit for bit, which the
+ * differential tests (tests/test_codegen_hw.cpp) rely on.
  *
  * Messages cross the ABI as canonical marshaled words via the wrapped
  * CompiledPartition (pushPrim/popPrim/popDevice, plus the unmarshaled
@@ -67,12 +66,6 @@ class CompiledHwPartition
     /** Free-run until quiescent or @p max_cycles elapse; trailing
      *  idle probe excluded from stats().cycles (ClockSim::run). */
     std::uint64_t run(std::uint64_t max_cycles);
-
-    /** Externally paced burst; same contract as
-     *  ClockSim::stepCycles (return value includes the trailing idle
-     *  probe, stats().cycles does not). */
-    std::uint64_t stepCycles(std::uint64_t budget,
-                             std::uint64_t &fired);
 
     /** True when the last cycle() fired nothing. */
     bool idle() const { return lastFired == 0; }

@@ -1,5 +1,7 @@
 #include "platform/channel.hpp"
 
+#include <limits>
+
 #include "common/logging.hpp"
 #include "obs/trace.hpp"
 
@@ -20,13 +22,9 @@ ChannelTransport::ChannelTransport(const ChannelSpec &spec,
                                    Store &tx_store, Store &rx_store,
                                    LinkArbiter &link_arb,
                                    const BusParams &bus_params,
-                                   bool threaded, bool traced)
+                                   bool traced)
     : spec_(spec), txStore(tx_store), rxStore(rx_store), link(link_arb),
-      bus(bus_params), threaded_(threaded),
-      // Credits bound in-flight occupancy by the synchronizer
-      // capacity, so the ring can never be asked to hold more.
-      ring_(static_cast<size_t>(spec.capacity > 0 ? spec.capacity : 1)),
-      traced_(traced)
+      bus(bus_params), traced_(traced)
 {
     if (spec_.txPrim < 0 || spec_.rxPrim < 0)
         panic("channel '" + spec_.name + "' endpoints unresolved");
@@ -41,14 +39,9 @@ ChannelTransport::ChannelTransport(const ChannelSpec &spec,
 int
 ChannelTransport::rxCreditsFree() const
 {
-    if (threaded_) {
-        // Producer side must not read the consumer's live queue; the
-        // atomic charge (conservatively) stands in for it.
-        return spec_.capacity - charged_.load(std::memory_order_acquire);
-    }
     const PrimState &rx = rxStore.at(spec_.rxPrim);
     return spec_.capacity - static_cast<int>(rx.queue.size()) -
-           static_cast<int>(ring_.size());
+           static_cast<int>(inFlight_.size());
 }
 
 void
@@ -89,34 +82,12 @@ ChannelTransport::pump(std::uint64_t now)
         std::uint64_t arrive = start + occupancy + bus.requestLatency;
 
         tx.queue.pop_front();
-        InFlight f;
-        f.deliverAt = arrive;
-        if (threaded_) {
-            // Marshal for real: COW Values share representation with
-            // whatever the producer still holds, and Value's
-            // uniqueness gate is not a cross-thread synchronization
-            // point — only plain words may cross to the consumer.
-            f.words = marshalValue(msg);
-        } else {
-            // Sequentially the structure crosses directly; the word
-            // count above still drives the timing, and marshal
-            // bit-exactness is covered by its own tests.
-            f.msg = std::move(msg);
-        }
-        if (threaded_)
-            charged_.fetch_add(1, std::memory_order_acq_rel);
-        if (!ring_.push(std::move(f))) {
-            // Unreachable while the credit invariant holds: in-flight
-            // count never exceeds capacity <= ring capacity.
-            panic("channel '" + spec_.name +
-                  "': in-flight ring overflow (credit accounting "
-                  "violated)");
-        }
+        inFlight_.push_back({std::move(msg), arrive});
         stats_.messages++;
         stats_.payloadWords += static_cast<std::uint64_t>(words);
         if (traced_) {
             // Pickup N pairs with delivery N (exactly-once, in
-            // order), so the flow arrow needs no state in the ring.
+            // order), so the flow arrow needs no per-message state.
             obs::trace().flowStart(spec_.name.c_str(), "channel",
                                    flowBase_ + stats_.messages);
         }
@@ -127,30 +98,13 @@ bool
 ChannelTransport::deliver(std::uint64_t now)
 {
     PrimState &rx = rxStore.at(spec_.rxPrim);
-    if (threaded_) {
-        // Consumer end: fold the queue drain observed since the last
-        // call back into the credit charge.
-        size_t sz = rx.queue.size();
-        if (sz < lastRxSize_) {
-            charged_.fetch_sub(static_cast<int>(lastRxSize_ - sz),
-                               std::memory_order_acq_rel);
-        }
-        lastRxSize_ = sz;
-    }
     bool any = false;
-    while (InFlight *f = ring_.front()) {
-        if (f->deliverAt > now)
-            break;
+    while (!inFlight_.empty() && inFlight_.front().deliverAt <= now) {
         if (static_cast<int>(rx.queue.size()) >= spec_.capacity)
             panic("channel '" + spec_.name +
                   "': credit accounting violated (rx overflow)");
-        if (threaded_) {
-            rx.queue.push_back(
-                demarshalValue(spec_.msgType, f->words));
-        } else {
-            rx.queue.push_back(std::move(f->msg));
-        }
-        ring_.pop();
+        rx.queue.push_back(std::move(inFlight_.front().msg));
+        inFlight_.pop_front();
         any = true;
         if (traced_) {
             delivered_++;
@@ -162,15 +116,15 @@ ChannelTransport::deliver(std::uint64_t now)
         occupancy_->observe(
             static_cast<double>(rx.queue.size()));
     }
-    if (threaded_)
-        lastRxSize_ = rx.queue.size();
     return any;
 }
 
 std::uint64_t
 ChannelTransport::nextEventAt() const
 {
-    std::uint64_t next = nextArrivalAt();
+    std::uint64_t next = inFlight_.empty()
+                             ? std::numeric_limits<std::uint64_t>::max()
+                             : inFlight_.front().deliverAt;
     const PrimState &tx = txStore.at(spec_.txPrim);
     if (!tx.queue.empty() && rxCreditsFree() > 0) {
         std::uint64_t pickup =
@@ -185,7 +139,7 @@ ChannelTransport::nextEventAt() const
 bool
 ChannelTransport::busy() const
 {
-    return !ring_.empty() ||
+    return !inFlight_.empty() ||
            !txStore.at(spec_.txPrim).queue.empty();
 }
 

@@ -14,24 +14,12 @@
  * shared LinkArbiter this gives the LIBDN no-deadlock /
  * no-head-of-line-blocking property.
  *
- * Threading: the transport has two ends with disjoint owners. pump()
- * belongs to the producer domain, deliver()/nextArrivalAt() to the
- * consumer domain; in-flight messages cross between them over a
- * bounded SPSC ring (common/spsc.hpp) and credits over an atomic
- * counter, so in the parallel co-simulation the two domain worker
- * threads touch the transport lock-free (the LinkArbiter, shared per
- * link direction, is the only lock on the path). In threaded mode
- * messages cross the ring as *marshaled words* — precisely what the
- * physical channel does — so no COW Value payload is ever shared
- * between domain threads (Value's in-place-mutation gate is not a
- * synchronization point); the consumer rebuilds the Value from the
- * canonical layout, which tests pin as a bit-exact round trip. In sequential mode
- * (threaded=false) credits are computed from the live consumer queue
- * exactly as the single-threaded co-simulation always has, so cycle
- * accounting is bit-stable against history. Mixed-end views
- * (nextEventAt(), busy()) are only valid when both domains are
- * quiesced — the co-simulation calls them single-threaded or at
- * epoch barriers.
+ * Threading: none. The co-simulation is sequential (see "Why
+ * co-simulation is sequential" in docs/ARCHITECTURE.md), so pump()
+ * and deliver() run on the thread that calls CoSim::run, credits are
+ * read from the live consumer queue and in-flight messages wait in a
+ * plain FIFO as Values — the word count still drives the timing, and
+ * marshal bit-exactness is covered by its own tests.
  *
  * Contract: channels deliver every message exactly once, in order,
  * after a bus-model delay; they never overflow the consumer half
@@ -42,20 +30,17 @@
 #ifndef BCL_PLATFORM_CHANNEL_HPP
 #define BCL_PLATFORM_CHANNEL_HPP
 
-#include <atomic>
 #include <cstdint>
-#include <limits>
+#include <deque>
 
-#include "common/spsc.hpp"
 #include "core/partition.hpp"
 #include "obs/metrics.hpp"
 #include "platform/bus.hpp"
-#include "platform/marshal.hpp"
 #include "runtime/store.hpp"
 
 namespace bcl {
 
-/** Traffic counters of one channel (written by the producer end). */
+/** Traffic counters of one channel. */
 struct ChannelStats
 {
     std::uint64_t messages = 0;
@@ -94,9 +79,6 @@ class ChannelTransport
      * @param rx_store Store of the consumer partition.
      * @param link Shared per-direction arbiter.
      * @param bus Timing parameters.
-     * @param threaded Producer and consumer run on different worker
-     *        threads: credits go through the atomic charge counter
-     *        instead of reading the consumer queue directly.
      * @param traced Emit pickup->deliver flow arrows, stall instants
      *        and the occupancy histogram when the global recorder /
      *        registry is enabled (CosimConfig::trace threads this
@@ -105,39 +87,26 @@ class ChannelTransport
      */
     ChannelTransport(const ChannelSpec &spec, Store &tx_store,
                      Store &rx_store, LinkArbiter &link,
-                     const BusParams &bus, bool threaded = false,
-                     bool traced = true);
+                     const BusParams &bus, bool traced = true);
 
     /**
-     * Producer end. Pick up messages staged in the producer half at
-     * time @p now: marshal, acquire the link, and put them in flight.
-     * Safe to call repeatedly with non-decreasing @p now.
+     * Pick up messages staged in the producer half at time @p now:
+     * acquire the link and put them in flight. Safe to call
+     * repeatedly with non-decreasing @p now.
      */
     void pump(std::uint64_t now);
 
     /**
-     * Consumer end. Move messages whose arrival time has passed into
-     * the consumer half. @return true when at least one message was
-     * delivered.
+     * Move messages whose arrival time has passed into the consumer
+     * half. @return true when at least one message was delivered.
      */
     bool deliver(std::uint64_t now);
 
-    /** Consumer end: earliest in-flight arrival, or UINT64_MAX. */
-    std::uint64_t
-    nextArrivalAt() const
-    {
-        const InFlight *f = ring_.front();
-        return f ? f->deliverAt
-                 : std::numeric_limits<std::uint64_t>::max();
-    }
-
     /** Earliest pending event (arrival or deferred pickup), or
-     *  UINT64_MAX when nothing is pending. Both-ends view: only
-     *  valid single-threaded / at an epoch barrier. */
+     *  UINT64_MAX when nothing is pending. */
     std::uint64_t nextEventAt() const;
 
-    /** Messages staged or in flight? (Both-ends view — see
-     *  nextEventAt.) */
+    /** Messages staged or in flight? */
     bool busy() const;
 
     const ChannelSpec &spec() const { return spec_; }
@@ -146,11 +115,7 @@ class ChannelTransport
   private:
     struct InFlight
     {
-        /** Payload by structure (sequential mode only). */
         Value msg;
-        /** Payload as canonical marshaled words (threaded mode only:
-         *  the two domain threads must share no Value state). */
-        std::vector<std::uint32_t> words;
         std::uint64_t deliverAt = 0;
     };
 
@@ -161,27 +126,14 @@ class ChannelTransport
     Store &rxStore;
     LinkArbiter &link;
     BusParams bus;
-    bool threaded_;
 
-    SpscQueue<InFlight> ring_;
+    /** Picked up, not yet delivered; credits bound its length by the
+     *  synchronizer capacity. */
+    std::deque<InFlight> inFlight_;
 
-    /**
-     * Threaded-mode credit charge: messages counted against the
-     * consumer's capacity (in flight + believed still in the consumer
-     * queue). The producer increments at pickup; the consumer
-     * decrements as it observes its queue drain (deliver() entry).
-     * The observation lags the actual drain, so the charge is always
-     * conservative — the rx-overflow panic in deliver() stays a hard
-     * invariant under threading.
-     */
-    std::atomic<int> charged_{0};
-    /** Consumer-side memo of the last observed rx queue size. */
-    size_t lastRxSize_ = 0;
-
-    // Producer-side deferral episode being accrued (stall fix:
-    // charge deferred *cycles*, not pump attempts). stalledSince_ is
-    // the last poll that charged, so open episodes accrue as they
-    // are observed.
+    // Deferral episode being accrued (charge deferred *cycles*, not
+    // pump attempts). stalledSince_ is the last poll that charged, so
+    // open episodes accrue as they are observed.
     bool stalled_ = false;
     std::uint64_t stalledSince_ = 0;
 
@@ -193,9 +145,9 @@ class ChannelTransport
     bool traced_;
     /** Flow-id base unique to this transport; pickup N and delivery
      *  N share id flowBase_ + N (exactly-once in-order delivery
-     *  makes the pairing exact across threads). */
+     *  makes the pairing exact). */
     std::uint64_t flowBase_ = 0;
-    /** Consumer-end delivery sequence (consumer thread only). */
+    /** Delivery sequence. */
     std::uint64_t delivered_ = 0;
     /** Rx queue depth observed at delivery time. */
     obs::Histogram *occupancy_ = nullptr;

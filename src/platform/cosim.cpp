@@ -1,13 +1,7 @@
 #include "platform/cosim.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <barrier>
-#include <chrono>
-#include <exception>
 #include <limits>
-#include <optional>
-#include <thread>
 
 #include "common/logging.hpp"
 #include "obs/trace.hpp"
@@ -41,8 +35,7 @@ constexpr double kSwCompiledCyclesPerFiring = 200.0;
 constexpr SwStrategy kSwStrategy = SwStrategy::Dataflow;
 
 /** Max firing executor steps per software slice before hardware
- *  catches up (bounds virtual-time skew); on workers this is also the
- *  epoch granularity between barriers. An interpreted step fires at
+ *  catches up (bounds virtual-time skew). An interpreted step fires at
  *  most one rule. */
 constexpr int kSwQuantum = 64;
 
@@ -51,17 +44,6 @@ constexpr std::uint64_t kMaxFpgaCycles = 1ull << 40;
 
 constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
 
-/** Worker threads the config asks for (0 = one per core). */
-int
-requestedThreads(const CosimConfig &cfg)
-{
-    if (cfg.threads == 0) {
-        unsigned hc = std::thread::hardware_concurrency();
-        return static_cast<int>(hc > 0 ? hc : 1);
-    }
-    return cfg.threads < 1 ? 1 : cfg.threads;
-}
-
 } // namespace
 
 /**
@@ -69,11 +51,10 @@ requestedThreads(const CosimConfig &cfg)
  * routines own time, channels, the driver and the horizon, and ask
  * the executor only for the next step over the domain's Store. One
  * implementation per way a domain runs: InterpretedSw, CompiledSw,
- * ClockSimHw, CompiledHw, RemoteHw. A hardware executor picks its own
- * burst from what it is: one cycle inline (reported cycle counts stay
- * bit-stable), a few on a worker (amortizes channel polling), the
- * whole window remote (a round trip per cycle would dominate); LIBDN
- * makes each choice functionally invisible.
+ * ClockSimHw, CompiledHw, RemoteHw. A local hardware executor clocks
+ * one edge per step, so channels are polled every cycle; a remote one
+ * clocks the whole window (a round trip per cycle would dominate),
+ * which LIBDN makes functionally invisible.
  */
 class DomainExec
 {
@@ -95,9 +76,9 @@ class DomainExec
     virtual ~DomainExec() = default;
 
     /**
-     * Software: one scheduling step. Hardware: one clock burst;
-     * @p window (>= 1) is the number of cycles left before the
-     * horizon, which only a remote executor clocks in one go.
+     * Software: one scheduling step. Hardware: one clock edge, or for
+     * a remote executor up to @p window (>= 1) cycles, the cycles
+     * left before the horizon.
      */
     virtual Step step(std::uint64_t window) = 0;
 
@@ -128,17 +109,13 @@ class DomainExec
 
 namespace {
 
-/** Hardware burst on a parallel worker: the worker clocks in
- *  externally paced bursts and polls channels between them. */
-constexpr std::uint64_t kWorkerBurst = 8;
-
 /*
  * The mirror sync: cycle-exactness across the ABI. With an
  * interpreter a sync fifo is ONE queue that both the transport and
  * the rules touch, so guards (canEnq/canDeq) see transport-side
  * occupancy directly. A compiled instance keeps its own gen::Fifo
  * behind the ABI while the transports keep talking to the mirror
- * store — so before each step (a clock edge or burst, a software run
+ * store — so before each step (a clock edge, a software run
  * to quiescence, a driver's method call; no channel activity happens
  * inside one) in() brings the instance up to date with the mirror,
  * and out() reconciles afterwards. The sync is persistent and
@@ -245,19 +222,13 @@ class MirrorSync
     std::vector<int> dev_;
 };
 
-/** One clock burst: a single edge when paced per cycle, else an
- *  externally paced burst that stops early once idle. */
+/** One clock edge: the domain stays active while rules fire. */
 template <class Sim>
 DomainExec::Step
-clockBurst(Sim &sim, std::uint64_t burst)
+clockEdge(Sim &sim)
 {
-    if (burst == 1) {
-        bool fired = sim.cycle() > 0;
-        return {fired, fired, 1.0};
-    }
-    std::uint64_t fired = 0;
-    std::uint64_t used = sim.stepCycles(burst, fired);
-    return {!sim.idle(), fired > 0, static_cast<double>(used)};
+    bool fired = sim.cycle() > 0;
+    return {fired, fired, 1.0};
 }
 
 class InterpretedSw final : public DomainExec, public SwPort
@@ -351,32 +322,25 @@ class CompiledSw final : public DomainExec, public SwPort
 class ClockSimHw final : public DomainExec
 {
   public:
-    ClockSimHw(const ElabProgram &prog, Store &store, bool on_worker)
-        : sim(prog, store), burst(on_worker ? kWorkerBurst : 1)
+    ClockSimHw(const ElabProgram &prog, Store &store) : sim(prog, store)
     {
     }
 
-    Step
-    step(std::uint64_t) override
-    {
-        return clockBurst(sim, burst);
-    }
+    Step step(std::uint64_t) override { return clockEdge(sim); }
 
     Interp *interp() override { return &sim.interp(); }
     const HwStats *hwStats() override { return &sim.stats(); }
 
   private:
     ClockSim sim;
-    std::uint64_t burst;
 };
 
 class CompiledHw final : public DomainExec
 {
   public:
     CompiledHw(std::shared_ptr<const CompiledArtifact> artifact,
-               Store &mirror, bool on_worker)
-        : hw(std::move(artifact)), sync(hw, mirror),
-          burst(on_worker ? kWorkerBurst : 1)
+               Store &mirror)
+        : hw(std::move(artifact)), sync(hw, mirror)
     {
     }
 
@@ -384,7 +348,7 @@ class CompiledHw final : public DomainExec
     step(std::uint64_t) override
     {
         sync.in();
-        Step s = clockBurst(hw, burst);
+        Step s = clockEdge(hw);
         sync.out();
         return s;
     }
@@ -399,7 +363,6 @@ class CompiledHw final : public DomainExec
   private:
     CompiledHwPartition hw;
     MirrorSync<CompiledHwPartition> sync;
-    std::uint64_t burst;
 };
 
 /**
@@ -484,19 +447,6 @@ CoSim::CoSim(const PartitionResult &parts, CosimConfig config)
                   entry.first + "', whose transport is not Tcp");
     }
 
-    // Parallel execution needs at least two domains to overlap; with
-    // one domain (or threads == 1) every slice runs inline and
-    // transports stay in their direct-read credit mode. Remote
-    // transports force inline slicing too: the coordinator relays
-    // slices synchronously over the mirror stores.
-    bool any_remote = std::any_of(
-        parts.parts.begin(), parts.parts.end(),
-        [&](const PartitionPart &p) {
-            return where(p.domain) != TransportKind::InThread;
-        });
-    parallel_ = requestedThreads(cfg) > 1 && parts.parts.size() > 1 &&
-                !any_remote;
-
     const double ratio = cfg.platform.cpuClockRatio;
     for (DomainKind kind : {DomainKind::Software, DomainKind::Hardware}) {
         for (const auto &part : parts.parts) {
@@ -533,31 +483,24 @@ CoSim::CoSim(const PartitionResult &parts, CosimConfig config)
                     store);
             } else if (cfg.hwBackend == HwBackend::Compiled) {
                 d.exec = std::make_unique<CompiledHw>(
-                    artifactFor(part, kind), store, parallel_);
+                    artifactFor(part, kind), store);
             } else {
-                d.exec = std::make_unique<ClockSimHw>(part.prog, store,
-                                                      parallel_);
+                d.exec = std::make_unique<ClockSimHw>(part.prog, store);
             }
             domains_.push_back(std::move(d));
         }
     }
 
     for (const auto &chan : parts.channels) {
-        auto key = std::make_pair(chan.fromDomain, chan.toDomain);
-        auto it = links.find(key);
-        if (it == links.end()) {
-            it = links.emplace(key, std::make_unique<LinkArbiter>())
-                     .first;
-        }
         // Each (from, to) pair gets the BusParams its topology rule
         // resolves to — heterogeneous platforms time each link
         // direction differently (resolution is total or fatal here,
         // before any cycle runs).
         transports.push_back(std::make_unique<ChannelTransport>(
             chan, storeOf(chan.fromDomain), storeOf(chan.toDomain),
-            *it->second,
+            links[{chan.fromDomain, chan.toDomain}],
             cfg.platform.resolveLink(chan.fromDomain, chan.toDomain),
-            parallel_, cfg.trace));
+            cfg.trace));
     }
 }
 
@@ -726,8 +669,8 @@ CoSim::linkUsage() const
         u.from = key.first;
         u.to = key.second;
         u.linkClass = cfg.platform.resolveLinkClass(u.from, u.to);
-        u.busyCycles = arb->busy();
-        u.grants = arb->grantCount();
+        u.busyCycles = arb.busy();
+        u.grants = arb.grantCount();
         out.push_back(std::move(u));
     }
     return out;
@@ -767,13 +710,8 @@ CoSim::nextDeliveryTo(const std::string &domain) const
 {
     std::uint64_t next = kNever;
     for (const auto &t : transports) {
-        if (t->spec().toDomain != domain)
-            continue;
-        // Mid-epoch a worker may only read its own (consumer) end of
-        // the transport; inline slicing keeps the both-ends view,
-        // deferred pickups included.
-        next = std::min(next, parallel_ ? t->nextArrivalAt()
-                                        : t->nextEventAt());
+        if (t->spec().toDomain == domain)
+            next = std::min(next, t->nextEventAt());
     }
     return next;
 }
@@ -781,9 +719,8 @@ CoSim::nextDeliveryTo(const std::string &domain) const
 bool
 CoSim::slice(Domain &d)
 {
-    // One span per domain slice, inline or on a worker: the trace
-    // shows which domain (and which thread) each stretch of cosim
-    // time went to.
+    // One span per domain slice: the trace shows which domain each
+    // stretch of cosim time went to.
     obs::TraceSpan span(d.name.c_str(), "cosim.slice", cfg.trace);
     return d.kind == DomainKind::Software ? sliceSoftware(d)
                                           : sliceHardware(d);
@@ -882,180 +819,9 @@ CoSim::hwHorizon() const
     return horizon;
 }
 
-/**
- * Epoch-barrier channel sweep (single-threaded; all workers parked):
- * land every due arrival, refresh credit observations, restart
- * deferred pickups, and poke consumers that received messages — the
- * deliveries a worker performed mid-epoch poked its own executor, but
- * messages arriving at the barrier need this sweep's pokes to keep
- * quiescence detection honest. Deterministic: transports are visited
- * in construction (channel id) order.
- */
-bool
-CoSim::sweepChannels()
-{
-    std::uint64_t picked_before = 0;
-    for (const auto &t : transports)
-        picked_before += t->stats().messages;
-
-    bool delivered_any = false;
-    for (auto &t : transports) {
-        const std::string &to = t->spec().toDomain;
-        if (!t->deliver(static_cast<std::uint64_t>(find(to)->time)))
-            continue;
-        delivered_any = true;
-        for (auto &d : domains_) {
-            if (d.name == to) {
-                d.exec->poke();
-                d.driverBlocked = false;
-            }
-        }
-    }
-    for (auto &t : transports) {
-        t->pump(static_cast<std::uint64_t>(
-            find(t->spec().fromDomain)->time));
-    }
-
-    std::uint64_t picked_after = 0;
-    for (const auto &t : transports)
-        picked_after += t->stats().messages;
-    return delivered_any || picked_after != picked_before;
-}
-
-/**
- * The parallel engine's threads: one worker per domain (round-robin
- * when domains outnumber threads). Within an epoch each worker slices
- * only its own domains and touches only its own ends of the channel
- * transports; between epochs the coordinating thread (run()'s caller)
- * owns everything and the workers are parked at the start barrier.
- * Worker exceptions are captured and rethrown from epoch().
- */
-class CoSim::Workers
-{
-  public:
-    Workers(CoSim &cs, int n)
-        : cs_(cs), n_(static_cast<size_t>(n)), start_(n + 1),
-          end_(n + 1), errors_(n_),
-          // Epoch wall time is what the software quantum trades off
-          // against barrier overhead.
-          epochHist_(cs.cfg.trace
-                         ? &obs::metrics().histogram(
-                               "cosim.epoch.wall_us",
-                               obs::Histogram::exponentialBounds(1.0, 2.0,
-                                                                 22))
-                         : nullptr)
-    {
-        threads_.reserve(n_);
-        try {
-            for (size_t w = 0; w < n_; w++)
-                threads_.emplace_back([this, w] { loop(w); });
-        } catch (...) {
-            // Stand in for the workers that never started, so the ones
-            // that did can be released and joined.
-            for (size_t w = threads_.size(); w < n_; w++)
-                start_.arrive_and_drop();
-            join();
-            throw;
-        }
-    }
-
-    Workers(const Workers &) = delete;
-    Workers &operator=(const Workers &) = delete;
-
-    ~Workers()
-    {
-        join();
-        // Compiled partitions were driven (and thread-bound) by their
-        // workers; hand them back so the caller can keep using them.
-        cs_.rebindCompiledThreads();
-    }
-
-    /** Run one epoch of every domain's slice, then the barrier sweep.
-     *  @return true when a slice or the sweep made progress. */
-    bool
-    epoch()
-    {
-        cs_.horizon_ = cs_.hwHorizon();
-        progress_.store(false, std::memory_order_relaxed);
-        const bool obsOn = cs_.cfg.trace && (obs::trace().enabled() ||
-                                             obs::metrics().enabled());
-        std::chrono::steady_clock::time_point t0;
-        if (obsOn) {
-            t0 = std::chrono::steady_clock::now();
-            obs::trace().begin("epoch", "cosim", "virtual_time",
-                               static_cast<std::int64_t>(cs_.now()));
-        }
-        // Two-phase protocol: releasing the start barrier starts the
-        // epoch; the workers meet the coordinator at the end barrier.
-        // std::barrier is cyclic, so the same pair serves every epoch.
-        start_.arrive_and_wait();
-        end_.arrive_and_wait();
-        if (obsOn) {
-            obs::trace().end("epoch", "cosim");
-            epochHist_->observe(
-                std::chrono::duration<double, std::micro>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count());
-        }
-        for (const auto &e : errors_) {
-            if (e)
-                std::rethrow_exception(e);
-        }
-        bool swept = cs_.sweepChannels();
-        return progress_.load(std::memory_order_relaxed) || swept;
-    }
-
-  private:
-    void
-    join()
-    {
-        stop_.store(true, std::memory_order_release);
-        start_.arrive_and_wait();
-        for (auto &t : threads_)
-            t.join();
-    }
-
-    void
-    loop(size_t w)
-    {
-        if (cs_.cfg.trace && obs::trace().enabled())
-            obs::trace().setThreadName("cosim.worker " + std::to_string(w));
-        for (;;) {
-            start_.arrive_and_wait();
-            if (stop_.load(std::memory_order_acquire))
-                return;
-            try {
-                bool progress = false;
-                for (size_t i = w; i < cs_.domains_.size(); i += n_)
-                    progress |= cs_.slice(cs_.domains_[i]);
-                if (progress)
-                    progress_.store(true, std::memory_order_relaxed);
-            } catch (...) {
-                if (!errors_[w])
-                    errors_[w] = std::current_exception();
-            }
-            end_.arrive_and_wait();
-        }
-    }
-
-    CoSim &cs_;
-    const size_t n_;
-    std::barrier<> start_, end_;
-    std::atomic<bool> stop_{false}, progress_{false};
-    std::vector<std::exception_ptr> errors_;
-    obs::Histogram *epochHist_;
-    std::vector<std::thread> threads_;
-};
-
 std::uint64_t
 CoSim::run(const std::function<bool(CoSim &)> &done)
 {
-    std::optional<Workers> workers;
-    if (parallel_) {
-        workers.emplace(*this,
-                        std::min<int>(requestedThreads(cfg),
-                                      static_cast<int>(domains_.size())));
-    }
     for (;;) {
         // Between slices nothing runs, so the predicate may read any
         // store.
@@ -1064,21 +830,16 @@ CoSim::run(const std::function<bool(CoSim &)> &done)
         if (now() > kMaxFpgaCycles)
             fatal("co-simulation exceeded maxFpgaCycles");
 
+        // Software slices first; hardware then catches up to where
+        // software got this round.
         bool progress = false;
-        if (workers) {
-            progress = workers->epoch();
-        } else {
-            // Inline, hardware catches up to where software got this
-            // round; on workers it runs against the horizon set before
-            // the epoch, concurrently with software.
-            bool caught_up = false;
-            for (auto &d : domains_) {
-                if (d.kind == DomainKind::Hardware && !caught_up) {
-                    horizon_ = hwHorizon();
-                    caught_up = true;
-                }
-                progress |= slice(d);
+        bool caught_up = false;
+        for (auto &d : domains_) {
+            if (d.kind == DomainKind::Hardware && !caught_up) {
+                horizon_ = hwHorizon();
+                caught_up = true;
             }
+            progress |= slice(d);
         }
         if (progress)
             continue;
@@ -1094,12 +855,8 @@ CoSim::run(const std::function<bool(CoSim &)> &done)
                 d.exec->poke();
                 d.driverBlocked = false;
             }
-            if (workers) {
-                sweepChannels();
-            } else {
-                for (const auto &d : domains_)
-                    pumpFrom(d.name, static_cast<std::uint64_t>(d.time));
-            }
+            for (const auto &d : domains_)
+                pumpFrom(d.name, static_cast<std::uint64_t>(d.time));
             continue;
         }
 

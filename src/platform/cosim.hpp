@@ -26,17 +26,10 @@
  * only within a pipeline batch, never functional results. Tests
  * verify bit-identical outputs across all partitionings of a program.
  *
- * Parallelism (CosimConfig::threads): with threads > 1 the run loop
- * hands each epoch's slices to worker threads instead of running them
- * inline, synchronized by epoch barriers; channel messages cross
- * between workers over thread-safe SPSC transports. The LIBDN
- * latency-insensitivity guarantee is exactly what makes this
- * semantics-preserving — domains may race ahead of each other
- * arbitrarily and functional outputs cannot change. threads == 1
- * keeps outputs, firing counts AND reported cycle counts bit-stable;
- * threads > 1 keeps outputs and firing counts bit-identical while
- * reported cycle counts may shift within an epoch. See "Parallel
- * co-simulation" in docs/ARCHITECTURE.md.
+ * The co-simulation is sequential: every slice runs on the thread
+ * that calls run(), so outputs, firing counts and reported cycle
+ * counts are bit-stable for a given program, partitioning and config.
+ * See "Why co-simulation is sequential" in docs/ARCHITECTURE.md.
  *
  * Contract: construct from a PartitionResult whose parts/channels are
  * untouched since partitionProgram(); the cosim owns one executor per
@@ -166,23 +159,19 @@ struct CosimConfig
     CostModel swCosts;
 
     /**
-     * Worker threads for the co-simulation. 1 (default) runs every
-     * slice inline on the calling thread. >1 runs each partition
-     * on a worker thread (domains are distributed round-robin when
-     * there are more domains than threads), synchronized by epoch
-     * barriers. 0 = one thread per domain up to
-     * std::thread::hardware_concurrency(). Outputs and firing counts
-     * are identical in every mode; cycle counts can shift within an
-     * epoch at threads > 1.
+     * Ignored: the co-simulation is sequential, and nothing in src/
+     * reads this field. It stays declared only because perfbench
+     * (perfbench/src/workloads.cpp) still assigns it; the benchmark
+     * change that retires perfbench's parallel pass deletes it.
      */
     int threads = 1;
 
     /**
      * Participate in tracing/metrics: when the process-global
      * TraceRecorder / MetricsRegistry (src/obs/) are enabled, this
-     * cosim emits epoch/slice spans, channel flow arrows, stall
-     * instants and the occupancy/epoch histograms. False makes every
-     * observability site in this cosim inert — the serving bench
+     * cosim emits slice spans, channel flow arrows, stall instants
+     * and the occupancy histogram. False makes every observability
+     * site in this cosim inert — the serving bench
      * uses it to trace a sample of sessions instead of all 10k.
      * Purely observational either way: functional outputs and cycle
      * counts are byte-identical with tracing on or off (pinned by
@@ -215,12 +204,10 @@ struct CosimConfig
      * Channel transports always stay in the coordinator over the
      * domain's mirror store — placement is a late, semantics-free
      * choice (§4.4): outputs and firing counts are byte-identical
-     * across transports, only reported cycle counts may shift (the
-     * same license threads > 1 already uses). Remote transports
-     * force the sequential engine. Software domains always run
-     * in-thread regardless of this default (host drivers call into
-     * them directly); naming one in `transports` is a fatal
-     * configuration error.
+     * across transports, only reported cycle counts may shift.
+     * Software domains always run in-thread regardless of this
+     * default (host drivers call into them directly); naming one in
+     * `transports` is a fatal configuration error.
      */
     TransportKind defaultTransport = TransportKind::InThread;
 
@@ -277,14 +264,10 @@ class SwPort
 /**
  * Host-side input source driving a software partition.
  *
- * Threading contract: in parallel co-simulation step() runs on the
- * owning domain's worker thread (never concurrently with itself),
- * while done() and the CoSim::run completion predicate run on the
- * coordinating thread at epoch barriers. Closures touching shared
- * host state (input cursors, result buffers) need no locks as long
- * as that state is only used by this driver and the completion
- * predicate — the epoch barrier orders them — but must not touch
- * other domains' engines or stores.
+ * Threading contract: step(), done() and the CoSim::run completion
+ * predicate all run on the thread that calls run(), one at a time,
+ * so closures over shared host state (input cursors, result buffers)
+ * need no locks. step() feeds its domain only through the SwPort.
  */
 struct SwDriver
 {
@@ -343,7 +326,7 @@ class CoSim
 
     /** Pid of a remote hardware domain's child process; -1 when the
      *  domain is local or attached to an external host (fault-
-     *  injection tests use this to kill a peer mid-epoch). */
+     *  injection tests use this to kill a peer mid-run). */
     pid_t remotePid(const std::string &domain) const;
 
     /** Channel transports (for traffic statistics). */
@@ -372,8 +355,7 @@ class CoSim
      * domain (rebindThread on each instance). The serving layer calls
      * this when a session yields its frame quantum so the next worker
      * that claims the session may drive it; the pool's ready queue is
-     * the required synchronization point. The parallel engine already
-     * does the equivalent at shutdown.
+     * the required synchronization point.
      */
     void rebindCompiledThreads();
 
@@ -390,8 +372,8 @@ class CoSim
      * ClockSim alike, also cosim.domain.<d>.rules_attempted /
      * .guard_fails / .wasted_work from its interpreter's ExecStats).
      * The internal structs stay the source of truth; call while
-     * quiesced (after run(), or at an epoch barrier) — set()
-     * semantics, so the registry reflects THIS cosim afterwards.
+     * quiesced (outside run()) — set() semantics, so the registry
+     * reflects THIS cosim afterwards.
      */
     void snapshotMetrics(obs::MetricsRegistry &reg) const;
 
@@ -408,9 +390,6 @@ class CoSim
         double time = 0;     ///< local virtual time, FPGA cycles
         bool driverBlocked = false;
     };
-
-    /** The parallel engine's worker threads (threads > 1). */
-    class Workers;
 
     std::shared_ptr<const CompiledArtifact>
     artifactFor(const PartitionPart &part, DomainKind kind) const;
@@ -429,27 +408,20 @@ class CoSim
     void pumpFrom(const std::string &domain, std::uint64_t time);
     bool deliverTo(const std::string &domain, std::uint64_t time);
     std::uint64_t nextChannelEvent() const;
-    /** Next delivery addressed to @p domain (consumer-end view in
-     *  parallel mode; both-ends view otherwise). */
+    /** Next channel event (arrival or deferred pickup) addressed to
+     *  @p domain. */
     std::uint64_t nextDeliveryTo(const std::string &domain) const;
-    /** Barrier-time channel sweep; true when any message moved. */
-    bool sweepChannels();
 
     CosimConfig cfg;
-    /** True when run() hands slices to worker threads; fixed at
-     *  construction so transports and executors are built for it. */
-    bool parallel_ = false;
     /** Software domains first, then hardware, each in partition
      *  order. */
     std::vector<Domain> domains_;
     /** Hardware slices run up to here; set by the run loop before
-     *  they start (barrier-ordered on workers). */
+     *  they start. */
     std::uint64_t horizon_ = 1;
     std::vector<std::unique_ptr<ChannelTransport>> transports;
     // One arbiter per (from-domain, to-domain) link direction.
-    std::map<std::pair<std::string, std::string>,
-             std::unique_ptr<LinkArbiter>>
-        links;
+    std::map<std::pair<std::string, std::string>, LinkArbiter> links;
 };
 
 } // namespace bcl

@@ -1,8 +1,8 @@
 /**
  * @file
- * Shared-memory word ring for cross-process co-simulation: the
- * src/common/spsc.hpp idea re-expressed over a mmap'd segment with
- * process-shared atomics, so one end of a channel (or a whole
+ * Shared-memory word ring for cross-process co-simulation: a bounded
+ * single-producer / single-consumer (Lamport) ring over a mmap'd
+ * segment with process-shared atomics, so one end of a channel (or a whole
  * partition relay) can live in a forked child process.
  *
  * The segment is anonymous MAP_SHARED memory created BEFORE fork();

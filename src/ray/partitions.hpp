@@ -70,9 +70,9 @@ RayRunResult runRayPartition(RayPartition p, int width = 32,
 /**
  * Render under an arbitrary domain configuration. Any assignment of
  * {travDom, boxDom, geomDom} is legal; giving each engine its own
- * hardware domain (splitRayConfig) yields a 4-domain design the
- * parallel co-simulation spreads across worker threads. Pixels are
- * bit-identical across every configuration.
+ * hardware domain (splitRayConfig) yields a 4-domain design with
+ * many small HW-to-HW messages. Pixels are bit-identical across
+ * every configuration.
  */
 RayRunResult runRayConfig(const RayConfig &rcfg, int prim_count = 1024,
                           const CosimConfig *cfg_override = nullptr,
@@ -80,7 +80,7 @@ RayRunResult runRayConfig(const RayConfig &rcfg, int prim_count = 1024,
 
 /** Partition C with each engine in its own hardware domain: BVH
  *  traversal / box intersect / geometry intersect (4 domains incl.
- *  SW — the parallel-scaling workload). */
+ *  SW). */
 RayConfig splitRayConfig(int width = 32, int height = 32);
 
 } // namespace ray

@@ -8,8 +8,8 @@
  * sharing the compiled artifact through the CompileCache — the
  * share-the-artifact / isolate-the-instance split.
  *
- * A Session wraps one single-threaded CoSim (cfg.threads forced to
- * 1: serving parallelism is ACROSS sessions, not within one) plus a
+ * A Session wraps one CoSim (sequential: serving parallelism is
+ * ACROSS sessions, not within one) plus a
  * stream spec: an input driver, a monotone progress counter (e.g.
  * "PCM frames decoded") and a target. advance() runs the cosim until
  * the counter gains at least one unit — one frame quantum; a deep
@@ -69,9 +69,9 @@ class Session
      * @param id Caller-chosen identifier (stable across the pool).
      * @param parts Shared partition result — immutable, may back any
      *   number of concurrent sessions.
-     * @param cfg Cosim parameters; threads is forced to 1, and
-     *   compileProvider should point at the shared CompileCache when
-     *   swBackend == Compiled (SessionManager wires this).
+     * @param cfg Cosim parameters; compileProvider should point at
+     *   the shared CompileCache when swBackend == Compiled
+     *   (SessionManager wires this).
      * @param spec The stream to serve.
      */
     Session(int id, const PartitionResult &parts, CosimConfig cfg,

@@ -79,8 +79,8 @@ VorbisRunResult runVorbisPartition(VorbisPartition p, int frames,
  * Figure 12 partitions. Domain polymorphism makes any assignment of
  * {imdctDom, ifftDom, winDom} legal; in particular each stage may be
  * its own hardware domain (e.g. "HWA"/"HWB"/"HWC"), producing a
- * >=3-domain pipeline the parallel co-simulation can spread across
- * worker threads. PCM is bit-identical across every configuration.
+ * >=3-domain pipeline with channels between hardware domains. PCM is
+ * bit-identical across every configuration.
  */
 VorbisRunResult runVorbisConfig(const VorbisConfig &vcfg, int frames,
                                 const CosimConfig *cfg_override =
@@ -88,7 +88,7 @@ VorbisRunResult runVorbisConfig(const VorbisConfig &vcfg, int frames,
                                 std::uint64_t seed = 12345);
 
 /** The per-stage split: IMDCT, IFFT and Window each in their own
- *  hardware domain (4 domains incl. SW — the parallel-scaling
+ *  hardware domain (4 domains incl. SW — the HW-to-HW streaming
  *  workload). */
 VorbisConfig splitVorbisConfig();
 

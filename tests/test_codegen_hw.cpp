@@ -607,8 +607,7 @@ TEST(CodegenHw, RaySplitShardedMatchesSingleUnit)
  * Capacity-1 synchronizers make the compiled domains' reserved
  * SyncTx slots and full SyncRx fifos bind on almost every edge. The
  * compiled ray split must still match the interpreted one: pixels,
- * cycles, messages and per-domain fires at threads=1; pixels and
- * fires at threads=2 (cycles may legally shift within an epoch).
+ * cycles, messages and per-domain fires and cycles.
  */
 TEST(CodegenHw, RaySplitCapacityOneMatchesInterpreted)
 {
@@ -619,20 +618,14 @@ TEST(CodegenHw, RaySplitCapacityOneMatchesInterpreted)
     const SplitRun ref = runSplit(parts, npix, CosimConfig{});
     ASSERT_EQ(ref.pixels.size(), npix);
 
-    for (const int threads : {1, 2}) {
-        SCOPED_TRACE("threads " + std::to_string(threads));
-        CosimConfig cfg;
-        cfg.hwBackend = HwBackend::Compiled;
-        cfg.threads = threads;
-        const SplitRun got = runSplit(parts, npix, cfg);
-        EXPECT_EQ(got.pixels, ref.pixels);
-        EXPECT_EQ(got.hwFired, ref.hwFired);
-        if (threads == 1) {
-            EXPECT_EQ(got.cycles, ref.cycles);
-            EXPECT_EQ(got.messages, ref.messages);
-            EXPECT_EQ(got.hwCycles, ref.hwCycles);
-        }
-    }
+    CosimConfig cfg;
+    cfg.hwBackend = HwBackend::Compiled;
+    const SplitRun got = runSplit(parts, npix, cfg);
+    EXPECT_EQ(got.pixels, ref.pixels);
+    EXPECT_EQ(got.hwFired, ref.hwFired);
+    EXPECT_EQ(got.cycles, ref.cycles);
+    EXPECT_EQ(got.messages, ref.messages);
+    EXPECT_EQ(got.hwCycles, ref.hwCycles);
 }
 
 /**

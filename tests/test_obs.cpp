@@ -2,8 +2,8 @@
  * @file
  * Tests of the unified observability layer (src/obs/): trace JSON
  * well-formedness and parse-back, span nesting balance per thread,
- * flow-id pairing of channel pickup/deliver across cosim worker
- * threads, histogram bucket math, registry typing, the disabled-path
+ * flow-id pairing across threads and of channel pickup/deliver in a
+ * cosim run, histogram bucket math, registry typing, the disabled-path
  * overhead guard, and — the property everything else leans on —
  * byte-identical workload outputs with tracing on and off.
  *
@@ -512,23 +512,22 @@ TEST(TraceRecorder, LongNamesAreTruncatedNotCorrupted)
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end: a traced parallel cosim run emits channel flows, slice
-// spans and epoch spans — and its outputs match the untraced run.
+// End-to-end: a traced cosim run emits channel flows and slice spans —
+// and its outputs match the untraced run.
 // ---------------------------------------------------------------------------
 
-TEST(TracedCosim, PartitionedRunEmitsFlowsSlicesAndEpochs)
+TEST(TracedCosim, PartitionedRunEmitsFlowsAndSlices)
 {
     ScopedObs on;
-    CosimConfig cfg;
-    cfg.threads = 2;  // parallel engine: worker slice spans
-    vorbis::VorbisRunResult r = vorbis::runVorbisPartition(
-        vorbis::VorbisPartition::B, 2, &cfg);
+    obs::metrics().reset();
+    vorbis::VorbisRunResult r =
+        vorbis::runVorbisPartition(vorbis::VorbisPartition::B, 2);
     ASSERT_FALSE(r.pcm.empty());
     ASSERT_GT(r.messages, 0u);
 
     Json root = JsonParser(obs::trace().toJson()).parse();
     std::multiset<std::string> starts, ends;
-    int slices = 0, epochs = 0;
+    int slices = 0;
     for (const Json &e : root.at("traceEvents").arr) {
         const std::string &ph = e.at("ph").str;
         if (ph == "s")
@@ -537,8 +536,6 @@ TEST(TracedCosim, PartitionedRunEmitsFlowsSlicesAndEpochs)
             ends.insert(e.at("id").str);
         if (ph == "B" && e.at("cat").str == "cosim.slice")
             slices++;
-        if (ph == "B" && e.at("name").str == "epoch")
-            epochs++;
     }
     // Every picked-up message was delivered: ids pair exactly, one
     // flow per message.
@@ -546,9 +543,8 @@ TEST(TracedCosim, PartitionedRunEmitsFlowsSlicesAndEpochs)
     EXPECT_EQ(starts, ends);
     EXPECT_EQ(starts.size(), static_cast<size_t>(r.messages));
     EXPECT_GT(slices, 0);
-    EXPECT_GT(epochs, 0);
-    // The registry side saw epoch wall times and channel occupancy.
-    EXPECT_GT(obs::metrics().histogram("cosim.epoch.wall_us").count(),
+    // The registry side saw channel occupancy.
+    EXPECT_GT(obs::metrics().histogram("cosim.channel.occupancy").count(),
               0u);
 }
 
@@ -582,7 +578,6 @@ TEST(TracedCosim, SnapshotPublishesCosimMetrics)
     vorbis::VorbisServeSetup setup = vorbis::makeVorbisServeSetup(
         vorbis::partitionConfig(vorbis::VorbisPartition::B));
     CosimConfig cfg;
-    cfg.threads = 1;
     cfg.swBackend = SwBackend::Interpreted;
     CoSim cs(setup.parts, cfg);
     auto state = vorbis::makeVorbisStreamState(1, 7);
@@ -612,17 +607,15 @@ TEST(TracedCosim, SnapshotPublishesCosimMetrics)
 TEST(TracedCosim, InterpretedHwAttemptCountersIgnoreTracing)
 {
     // The per-domain rule-attempt gauges of interpreted domains,
-    // hardware and software alike, are modeled quantities: at
-    // threads = 1 they must not move when tracing is switched on.
+    // hardware and software alike, are modeled quantities: they must
+    // not move when tracing is switched on.
     auto attemptGauges = [](bool traced) {
         std::unique_ptr<ScopedObs> on;
         if (traced)
             on = std::make_unique<ScopedObs>();
         vorbis::VorbisServeSetup setup = vorbis::makeVorbisServeSetup(
             vorbis::partitionConfig(vorbis::VorbisPartition::B));
-        CosimConfig cfg;
-        cfg.threads = 1;
-        CoSim cs(setup.parts, cfg);
+        CoSim cs(setup.parts, CosimConfig{});
         auto state = vorbis::makeVorbisStreamState(1, 7);
         cs.setDriver("SW", vorbis::makeVorbisStreamDriver(
                                state, setup.pushMethod));

@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <thread>
 
 #include "common/logging.hpp"
 #include "common/rng.hpp"
@@ -180,9 +179,8 @@ referenceRun(const std::vector<std::int64_t> &inputs)
     return out;
 }
 
-/** What the parallel engine's determinism contract pins at every
- *  thread count: rule fires and channel traffic (cycles may shift at
- *  threads > 1). */
+/** What the tracing determinism check pins besides outputs and
+ *  cycles: rule fires and channel traffic. */
 struct EchoCounts
 {
     std::uint64_t swFired = 0, hwFired = 0;
@@ -645,16 +643,14 @@ TEST(Channel, StallChargesDeferredCyclesNotPumpAttempts)
     EXPECT_EQ(ch.stats().stallEvents, 1u);
 }
 
-TEST(Channel, RxOverflowPanicStillFiresUnderThreading)
+TEST(Channel, RxOverflowPanicFiresOnDelivery)
 {
-    // The credit invariant is enforced at delivery even in threaded
-    // mode (where credits go through the atomic charge instead of a
-    // live read of the consumer queue). Violate it deliberately by
-    // stuffing the consumer half behind the transport's back.
+    // The credit invariant is enforced at delivery, not only at
+    // pickup. Violate it deliberately by stuffing the consumer half
+    // behind the transport's back while a message is in flight.
     TransportRig rig;
     ChannelTransport ch(rig.spec, *rig.txStore, *rig.rxStore, rig.link,
-                        BusParams{},
-                        /*threaded=*/true);
+                        BusParams{});
 
     rig.txStore->at(rig.spec.txPrim).queue.push_back(rig.msg(1));
     ch.pump(0);
@@ -665,46 +661,6 @@ TEST(Channel, RxOverflowPanicStillFiresUnderThreading)
         rx.queue.push_back(rig.msg(200 + i));
 
     EXPECT_THROW(ch.deliver(100000), PanicError);
-}
-
-TEST(Channel, ThreadedCreditsObserveConsumerDrain)
-{
-    // Threaded mode: the producer's credit view is the atomic charge;
-    // the consumer folds its queue drain back in at deliver().
-    TransportRig rig;
-    ChannelTransport ch(rig.spec, *rig.txStore, *rig.rxStore, rig.link,
-                        BusParams{},
-                        /*threaded=*/true);
-
-    PrimState &tx = rig.txStore->at(rig.spec.txPrim);
-    PrimState &rx = rig.rxStore->at(rig.spec.rxPrim);
-    for (int i = 0; i < rig.spec.capacity + 2; i++)
-        tx.queue.push_back(rig.msg(i));
-
-    ch.pump(0);
-    // capacity messages picked up, the rest deferred for credit.
-    EXPECT_EQ(ch.stats().messages,
-              static_cast<std::uint64_t>(rig.spec.capacity));
-    EXPECT_EQ(tx.queue.size(), 2u);
-
-    ch.deliver(100000);
-    EXPECT_EQ(rx.queue.size(),
-              static_cast<size_t>(rig.spec.capacity));
-
-    // Deliveries alone free no credits (messages still occupy the
-    // consumer queue)...
-    ch.pump(100000);
-    EXPECT_EQ(tx.queue.size(), 2u);
-
-    // ...until the consumer dequeues and the next deliver() call
-    // observes the drain.
-    rx.queue.pop_front();
-    rx.queue.pop_front();
-    ch.deliver(100001);
-    ch.pump(100001);
-    EXPECT_EQ(tx.queue.size(), 0u);
-    EXPECT_EQ(ch.stats().messages,
-              static_cast<std::uint64_t>(rig.spec.capacity) + 2);
 }
 
 TEST(Channel, ValueQueueOverPopPanics)
@@ -722,30 +678,7 @@ TEST(Channel, ValueQueueOverPopPanics)
     EXPECT_EQ(q.front().asInt(), 2);
 }
 
-// ---------------------------------------------------------------------------
-// Parallel co-simulation: the LIBDN guarantee in action. Outputs and
-// firing counts must be byte-identical for every thread count; only
-// cycle accounting may shift at threads > 1.
-// ---------------------------------------------------------------------------
-
-TEST(CoSimParallel, EchoMatchesSequentialOutputs)
-{
-    std::vector<std::int64_t> inputs;
-    for (int i = 0; i < 50; i++)
-        inputs.push_back(i * 3 - 25);
-    std::vector<std::int64_t> ref = referenceRun(inputs);
-
-    for (int threads : {2, 4}) {
-        CosimConfig cfg;
-        cfg.threads = threads;
-        std::uint64_t cycles = 0;
-        std::vector<std::int64_t> out = cosimRun(inputs, &cycles, cfg);
-        EXPECT_EQ(out, ref) << "threads=" << threads;
-        EXPECT_GT(cycles, 0u);
-    }
-}
-
-/** Run the echo cosim at @p threads with tracing off, then on. */
+/** Run the echo cosim with tracing off, then on. */
 struct TracedPair
 {
     std::vector<std::int64_t> off, on;
@@ -754,173 +687,98 @@ struct TracedPair
 };
 
 TracedPair
-runTracedPair(int threads)
+runTracedPair()
 {
     std::vector<std::int64_t> inputs;
     for (int i = 0; i < 50; i++)
         inputs.push_back(i * 7 - 100);
-    CosimConfig cfg;
-    cfg.threads = threads;
     TracedPair r;
-    r.off = cosimRun(inputs, &r.cyclesOff, cfg, &r.countsOff);
+    r.off = cosimRun(inputs, &r.cyclesOff, CosimConfig{}, &r.countsOff);
 
     obs::trace().enable(true);
     obs::metrics().enable(true);
-    r.on = cosimRun(inputs, &r.cyclesOn, cfg, &r.countsOn);
+    r.on = cosimRun(inputs, &r.cyclesOn, CosimConfig{}, &r.countsOn);
     obs::trace().enable(false);
     obs::metrics().enable(false);
     obs::trace().clear();
     return r;
 }
 
-TEST(CoSimParallel, TracingOnMatchesTracingOff)
+TEST(CoSimMatrix, TracingOnMatchesTracingOff)
 {
     // Tracing is purely observational (an event site that perturbed
-    // scheduling would show up here). At threads > 1 cycle accounting
-    // may legally shift from run to run, so compare what the
-    // determinism contract guarantees there: outputs, rule fires and
-    // channel traffic.
-    TracedPair r = runTracedPair(2);
-    EXPECT_EQ(r.on, r.off);
-    EXPECT_EQ(r.countsOn, r.countsOff);
-    EXPECT_GT(r.countsOff.messages, 0u);
-}
-
-TEST(CoSimParallel, TracingOnMatchesTracingOffSingleThread)
-{
-    // At threads = 1 the run is fully deterministic: cycles too.
-    TracedPair r = runTracedPair(1);
+    // scheduling would show up here): outputs, rule fires, channel
+    // traffic and cycle counts are identical with tracing on or off.
+    TracedPair r = runTracedPair();
     EXPECT_EQ(r.on, r.off);
     EXPECT_EQ(r.countsOn, r.countsOff);
     EXPECT_EQ(r.cyclesOn, r.cyclesOff);
-}
-
-TEST(CoSimParallel, DeadlockIsReportedNotHungAcrossThreads)
-{
-    // Same shape as CoSim.DeadlockIsReportedNotHung but through the
-    // epoch-parallel engine: worker quiescence + empty channels must
-    // surface as FatalError, not a barrier hang.
-    ModuleBuilder b("Top");
-    b.addSync("toHw", w32(), 2, "SW", "HW");
-    b.addAudioDev("out", "SW");
-    b.addReg("sink", w32());
-    b.addActionMethod("push", {{"x", w32()}},
-                      callA("toHw", "enq", {varE("x")}), "SW");
-    b.addRule("consume", parA({regWrite("sink", callV("toHw", "first")),
-                               callA("toHw", "deq")}));
-    Program p = ProgramBuilder().add(b.build()).setRoot("Top").build();
-    ElabProgram elab = elaborate(p);
-    DomainAssignment doms = inferDomains(elab);
-    PartitionResult parts = partitionProgram(elab, doms);
-
-    CosimConfig cfg;
-    cfg.threads = 2;
-    CoSim cosim(parts, cfg);
-    const PartitionPart &sw = parts.part("SW");
-    int push = sw.prog.rootMethod("push");
-    int out_prim = sw.prog.primByPath("out");
-    bool pushed = false;
-    SwDriver driver;
-    driver.step = [&](SwPort &port) -> std::uint64_t {
-        if (pushed)
-            return 0;
-        if (port.callActionMethod(push, {Value::makeInt(32, 1)})) {
-            pushed = true;
-            return 1;
-        }
-        return 0;
-    };
-    driver.done = [&] { return pushed; };
-    cosim.setDriver("SW", driver);
-
-    EXPECT_THROW(cosim.run([&](CoSim &cs) {
-        return !cs.storeOf("SW").at(out_prim).queue.empty();
-    }),
-                 FatalError);
+    EXPECT_GT(r.countsOff.messages, 0u);
 }
 
 // ---------------------------------------------------------------------------
 // Determinism matrix: every Vorbis / ray-tracer partitioning (the
-// lettered Figure 12/14 configurations plus the per-stage splits that
-// give the parallel engine >= 3 domains), under threads in {1, 2,
-// hardware_concurrency}, must produce byte-identical outputs and
-// firing counts. The software backend axis is covered where the
-// harness supports it: Vorbis runs Interpreted AND Compiled; the ray
-// harness reads results back through mirror registers, which the
+// lettered Figure 12/14 configurations plus the per-stage splits with
+// >= 3 domains) must reproduce the in-thread interpreted reference
+// under every executor, transport and platform: byte-identical
+// outputs and firing counts, and cycle counts too wherever the
+// executor is cycle-exact. The software backend axis is covered where
+// the harness supports it: Vorbis runs Interpreted AND Compiled; the
+// ray harness reads results back through mirror registers, which the
 // compiled ABI does not sync, so ray runs Interpreted (see
 // docs/ARCHITECTURE.md "Executing generated software").
 // ---------------------------------------------------------------------------
 
-std::vector<int>
-matrixThreadCounts()
+std::vector<vorbis::VorbisConfig>
+allVorbisConfigs()
 {
-    unsigned hc = std::thread::hardware_concurrency();
-    std::vector<int> counts{1, 2};
-    int big = static_cast<int>(hc > 2 ? hc : 4);
-    if (std::find(counts.begin(), counts.end(), big) == counts.end())
-        counts.push_back(big);
-    return counts;
-}
-
-TEST(CoSimParallel, VorbisDeterminismMatrixInterpreted)
-{
-    const int frames = 2;
     std::vector<vorbis::VorbisConfig> configs;
     for (vorbis::VorbisPartition p : vorbis::allVorbisPartitions())
         configs.push_back(vorbis::partitionConfig(p));
     configs.push_back(vorbis::splitVorbisConfig());
+    return configs;
+}
 
+TEST(CoSimMatrix, VorbisDeterminismMatrixInterpreted)
+{
+    // Every partitioning decodes the same PCM, and a rerun reproduces
+    // PCM, firing counts and cycle counts exactly.
+    const int frames = 2;
+    const std::vector<vorbis::VorbisConfig> configs = allVorbisConfigs();
+    std::vector<std::int32_t> pcm0;
     for (size_t ci = 0; ci < configs.size(); ci++) {
-        vorbis::VorbisRunResult ref;
-        bool have_ref = false;
-        for (int threads : matrixThreadCounts()) {
-            CosimConfig cfg;
-            cfg.threads = threads;
-            vorbis::VorbisRunResult r = vorbis::runVorbisConfig(
-                configs[ci], frames, &cfg);
-            if (!have_ref) {
-                ref = r;
-                have_ref = true;
-                EXPECT_FALSE(ref.pcm.empty());
-                continue;
-            }
-            EXPECT_EQ(r.pcm, ref.pcm)
-                << "config " << ci << " threads=" << threads;
-            EXPECT_EQ(r.swRulesFired, ref.swRulesFired)
-                << "config " << ci << " threads=" << threads;
-            EXPECT_EQ(r.hwRuleFires, ref.hwRuleFires)
-                << "config " << ci << " threads=" << threads;
-        }
+        vorbis::VorbisRunResult ref =
+            vorbis::runVorbisConfig(configs[ci], frames);
+        vorbis::VorbisRunResult r =
+            vorbis::runVorbisConfig(configs[ci], frames);
+        EXPECT_FALSE(ref.pcm.empty()) << "config " << ci;
+        EXPECT_EQ(r.pcm, ref.pcm) << "config " << ci;
+        EXPECT_EQ(r.swRulesFired, ref.swRulesFired) << "config " << ci;
+        EXPECT_EQ(r.hwRuleFires, ref.hwRuleFires) << "config " << ci;
+        EXPECT_EQ(r.fpgaCycles, ref.fpgaCycles) << "config " << ci;
+        if (ci == 0)
+            pcm0 = ref.pcm;
+        else
+            EXPECT_EQ(ref.pcm, pcm0) << "config " << ci << " vs 0";
     }
 }
 
-TEST(CoSimParallel, VorbisDeterminismMatrixCompiled)
+TEST(CoSimMatrix, VorbisDeterminismMatrixCompiled)
 {
     if (!CompiledPartition::hostCompilerAvailable())
         GTEST_SKIP() << "no host compiler";
     const int frames = 2;
-    std::vector<vorbis::VorbisConfig> configs;
-    for (vorbis::VorbisPartition p : vorbis::allVorbisPartitions())
-        configs.push_back(vorbis::partitionConfig(p));
-    configs.push_back(vorbis::splitVorbisConfig());
-
-    // Interpreted threads=1 is the golden reference for the compiled
-    // backend too (PR 4's differential contract).
-    for (size_t ci = 0; ci < configs.size(); ci++) {
-        CosimConfig ref_cfg;
+    // Interpreted is the golden reference for the compiled backend
+    // too (the software backends' differential contract).
+    for (const vorbis::VorbisConfig &vcfg : allVorbisConfigs()) {
         vorbis::VorbisRunResult ref =
-            vorbis::runVorbisConfig(configs[ci], frames, &ref_cfg);
-        for (int threads : matrixThreadCounts()) {
-            CosimConfig cfg;
-            cfg.threads = threads;
-            cfg.swBackend = SwBackend::Compiled;
-            vorbis::VorbisRunResult r = vorbis::runVorbisConfig(
-                configs[ci], frames, &cfg);
-            EXPECT_EQ(r.pcm, ref.pcm)
-                << "config " << ci << " threads=" << threads;
-            EXPECT_EQ(r.swRulesFired, ref.swRulesFired)
-                << "config " << ci << " threads=" << threads;
-        }
+            vorbis::runVorbisConfig(vcfg, frames);
+        CosimConfig cfg;
+        cfg.swBackend = SwBackend::Compiled;
+        vorbis::VorbisRunResult r =
+            vorbis::runVorbisConfig(vcfg, frames, &cfg);
+        EXPECT_EQ(r.pcm, ref.pcm);
+        EXPECT_EQ(r.swRulesFired, ref.swRulesFired);
     }
 }
 
@@ -928,7 +786,7 @@ TEST(CoSimParallel, VorbisDeterminismMatrixCompiled)
 // synchronizers exactly as the interpreter's guard does: its SyncTx
 // mirror never holds more undelivered messages than the prim's
 // capacity, however far software runs ahead of hardware.
-TEST(CoSimParallel, CompiledSoftwareSyncTxMirrorStaysWithinCapacity)
+TEST(CoSimMatrix, CompiledSoftwareSyncTxMirrorStaysWithinCapacity)
 {
     if (!CompiledPartition::hostCompilerAvailable())
         GTEST_SKIP() << "no host compiler";
@@ -963,13 +821,12 @@ TEST(CoSimParallel, CompiledSoftwareSyncTxMirrorStaysWithinCapacity)
 }
 
 // The hardware-backend axis: every run below must reproduce the
-// interpreted threads=1 golden reference — and because the two
-// hardware backends are cycle-exact against each other (unlike the
-// software ones), hwRuleFires must match at every thread count and
-// fpgaCycles must match at threads=1. One CompileCache dedupes the
-// per-partition compiles across the thread axis.
+// interpreted golden reference — and because the two hardware
+// backends are cycle-exact against each other (unlike the software
+// ones), hwRuleFires and fpgaCycles must match too. One CompileCache
+// dedupes the per-partition compiles.
 
-TEST(CoSimParallel, VorbisDeterminismMatrixCompiledHw)
+TEST(CoSimMatrix, VorbisDeterminismMatrixCompiledHw)
 {
     if (!CompiledHwPartition::hostCompilerAvailable())
         GTEST_SKIP() << "no host compiler";
@@ -988,47 +845,34 @@ TEST(CoSimParallel, VorbisDeterminismMatrixCompiledHw)
     for (size_t ci = 0; ci < configs.size(); ci++) {
         vorbis::VorbisRunResult ref =
             vorbis::runVorbisConfig(configs[ci], frames);
-        for (int threads : matrixThreadCounts()) {
-            CosimConfig cfg;
-            cfg.threads = threads;
-            cfg.hwBackend = HwBackend::Compiled;
-            cfg.compileProvider = provider;
-            vorbis::VorbisRunResult r = vorbis::runVorbisConfig(
-                configs[ci], frames, &cfg);
-            EXPECT_EQ(r.pcm, ref.pcm)
-                << "config " << ci << " threads=" << threads;
-            EXPECT_EQ(r.swRulesFired, ref.swRulesFired)
-                << "config " << ci << " threads=" << threads;
-            EXPECT_EQ(r.hwRuleFires, ref.hwRuleFires)
-                << "config " << ci << " threads=" << threads;
-            if (threads == 1) {
-                EXPECT_EQ(r.fpgaCycles, ref.fpgaCycles)
-                    << "config " << ci
-                    << ": sequential compiled hw must be cycle-exact";
-            }
-        }
+        CosimConfig cfg;
+        cfg.hwBackend = HwBackend::Compiled;
+        cfg.compileProvider = provider;
+        vorbis::VorbisRunResult r =
+            vorbis::runVorbisConfig(configs[ci], frames, &cfg);
+        EXPECT_EQ(r.pcm, ref.pcm) << "config " << ci;
+        EXPECT_EQ(r.swRulesFired, ref.swRulesFired) << "config " << ci;
+        EXPECT_EQ(r.hwRuleFires, ref.hwRuleFires) << "config " << ci;
+        EXPECT_EQ(r.fpgaCycles, ref.fpgaCycles)
+            << "config " << ci << ": compiled hw must be cycle-exact";
     }
 
     // Both backends compiled at once (the all-generated pipeline);
     // the software side only promises output/firing equivalence, so
     // cycle counts are not compared here.
-    for (int threads : {1, 2}) {
-        CosimConfig cfg;
-        cfg.threads = threads;
-        cfg.swBackend = SwBackend::Compiled;
-        cfg.hwBackend = HwBackend::Compiled;
-        cfg.compileProvider = provider;
-        vorbis::VorbisRunResult ref =
-            vorbis::runVorbisConfig(configs.back(), frames);
-        vorbis::VorbisRunResult r =
-            vorbis::runVorbisConfig(configs.back(), frames, &cfg);
-        EXPECT_EQ(r.pcm, ref.pcm) << "threads=" << threads;
-        EXPECT_EQ(r.swRulesFired, ref.swRulesFired)
-            << "threads=" << threads;
-    }
+    CosimConfig cfg;
+    cfg.swBackend = SwBackend::Compiled;
+    cfg.hwBackend = HwBackend::Compiled;
+    cfg.compileProvider = provider;
+    vorbis::VorbisRunResult ref =
+        vorbis::runVorbisConfig(configs.back(), frames);
+    vorbis::VorbisRunResult r =
+        vorbis::runVorbisConfig(configs.back(), frames, &cfg);
+    EXPECT_EQ(r.pcm, ref.pcm);
+    EXPECT_EQ(r.swRulesFired, ref.swRulesFired);
 }
 
-TEST(CoSimParallel, RayDeterminismMatrixCompiledHw)
+TEST(CoSimMatrix, RayDeterminismMatrixCompiledHw)
 {
     if (!CompiledHwPartition::hostCompilerAvailable())
         GTEST_SKIP() << "no host compiler";
@@ -1047,65 +891,50 @@ TEST(CoSimParallel, RayDeterminismMatrixCompiledHw)
     for (size_t ci = 0; ci < configs.size(); ci++) {
         ray::RayRunResult ref =
             ray::runRayConfig(configs[ci], prims);
-        for (int threads : {1, 2}) {
-            CosimConfig cfg;
-            cfg.threads = threads;
-            cfg.hwBackend = HwBackend::Compiled;
-            cfg.compileProvider = provider;
-            ray::RayRunResult r =
-                ray::runRayConfig(configs[ci], prims, &cfg);
-            EXPECT_EQ(r.pixels, ref.pixels)
-                << "config " << ci << " threads=" << threads;
-            EXPECT_EQ(r.hwRuleFires, ref.hwRuleFires)
-                << "config " << ci << " threads=" << threads;
-            if (threads == 1) {
-                EXPECT_EQ(r.fpgaCycles, ref.fpgaCycles)
-                    << "config " << ci
-                    << ": sequential compiled hw must be cycle-exact";
-            }
-        }
+        CosimConfig cfg;
+        cfg.hwBackend = HwBackend::Compiled;
+        cfg.compileProvider = provider;
+        ray::RayRunResult r =
+            ray::runRayConfig(configs[ci], prims, &cfg);
+        EXPECT_EQ(r.pixels, ref.pixels) << "config " << ci;
+        EXPECT_EQ(r.hwRuleFires, ref.hwRuleFires) << "config " << ci;
+        EXPECT_EQ(r.fpgaCycles, ref.fpgaCycles)
+            << "config " << ci << ": compiled hw must be cycle-exact";
     }
 }
 
-TEST(CoSimParallel, RayDeterminismMatrixInterpreted)
+TEST(CoSimMatrix, RayDeterminismMatrixInterpreted)
 {
+    // Every partitioning renders the same pixels, and a rerun
+    // reproduces pixels, firing counts and cycle counts exactly.
     const int w = 6, h = 6, prims = 32;
     std::vector<ray::RayConfig> configs;
     for (ray::RayPartition p : ray::allRayPartitions())
         configs.push_back(ray::rayPartitionConfig(p, w, h));
     configs.push_back(ray::splitRayConfig(w, h));
 
+    std::vector<std::uint32_t> pixels0;
     for (size_t ci = 0; ci < configs.size(); ci++) {
-        ray::RayRunResult ref;
-        bool have_ref = false;
-        for (int threads : matrixThreadCounts()) {
-            CosimConfig cfg;
-            cfg.threads = threads;
-            ray::RayRunResult r =
-                ray::runRayConfig(configs[ci], prims, &cfg);
-            if (!have_ref) {
-                ref = r;
-                have_ref = true;
-                EXPECT_EQ(ref.pixels.size(),
-                          static_cast<size_t>(w) * h);
-                continue;
-            }
-            EXPECT_EQ(r.pixels, ref.pixels)
-                << "config " << ci << " threads=" << threads;
-            EXPECT_EQ(r.hwRuleFires, ref.hwRuleFires)
-                << "config " << ci << " threads=" << threads;
-        }
+        ray::RayRunResult ref = ray::runRayConfig(configs[ci], prims);
+        ray::RayRunResult r = ray::runRayConfig(configs[ci], prims);
+        EXPECT_EQ(ref.pixels.size(), static_cast<size_t>(w) * h);
+        EXPECT_EQ(r.pixels, ref.pixels) << "config " << ci;
+        EXPECT_EQ(r.hwRuleFires, ref.hwRuleFires) << "config " << ci;
+        EXPECT_EQ(r.fpgaCycles, ref.fpgaCycles) << "config " << ci;
+        if (ci == 0)
+            pixels0 = ref.pixels;
+        else
+            EXPECT_EQ(ref.pixels, pixels0) << "config " << ci << " vs 0";
     }
 }
 
 // ---------------------------------------------------------------------------
-// Transport axis of the determinism matrix: the same LIBDN license
-// (§4.4) that lets threads > 1 shift channel timing also lets a whole
-// hardware partition move OUT OF PROCESS — forked child over
-// shared-memory rings, or framed loopback TCP. Outputs and firing
-// counts must stay byte-identical to the in-thread threads=1
-// reference; only cycle accounting may shift. TCP cases degrade to
-// shm-only when the sandbox forbids loopback sockets.
+// Transport axis of the determinism matrix: the LIBDN license (§4.4)
+// lets a whole hardware partition move OUT OF PROCESS — forked child
+// over shared-memory rings, or framed loopback TCP. Outputs and
+// firing counts must stay byte-identical to the in-thread reference;
+// only cycle accounting may shift. TCP cases degrade to shm-only when
+// the sandbox forbids loopback sockets.
 // ---------------------------------------------------------------------------
 
 std::vector<TransportKind>
@@ -1118,18 +947,18 @@ remoteTransportKinds()
 }
 
 // The platform axis: link timing is a latency-insensitivity axis
-// exactly like threads and transports. Any platform model — here the
+// exactly like transports. Any platform model — here the
 // heterogeneous two-class topology, the strongest case because
 // different channel pairs run under different BusParams in one run —
-// must reproduce the ml507 threads=1 outputs and firing counts, on
-// every thread count, over the shared-memory transport, and under the
-// compiled software backend where the host supports it.
-TEST(CoSimParallel, VorbisDeterminismAcrossPlatformModels)
+// must reproduce the ml507 outputs and firing counts, in-thread, over
+// the shared-memory transport, and under the compiled software
+// backend where the host supports it.
+TEST(CoSimMatrix, VorbisDeterminismAcrossPlatformModels)
 {
     const int frames = 2;
     vorbis::VorbisConfig config = vorbis::splitVorbisConfig();
 
-    CosimConfig ref_cfg; // ml507 preset, threads=1, in-thread
+    CosimConfig ref_cfg; // ml507 preset, in-thread
     vorbis::VorbisRunResult ref =
         vorbis::runVorbisConfig(config, frames, &ref_cfg);
     EXPECT_FALSE(ref.pcm.empty());
@@ -1139,18 +968,14 @@ TEST(CoSimParallel, VorbisDeterminismAcrossPlatformModels)
         loadPlatformSpec(
             BCL_SRC_DIR "/../configs/het_onchip_offchip.config")};
     for (const PlatformSpec &plat : platforms) {
-        for (int threads : matrixThreadCounts()) {
+        {
             CosimConfig cfg;
             cfg.platform = plat;
-            cfg.threads = threads;
             vorbis::VorbisRunResult r =
                 vorbis::runVorbisConfig(config, frames, &cfg);
-            EXPECT_EQ(r.pcm, ref.pcm)
-                << plat.name << " threads=" << threads;
-            EXPECT_EQ(r.swRulesFired, ref.swRulesFired)
-                << plat.name << " threads=" << threads;
-            EXPECT_EQ(r.hwRuleFires, ref.hwRuleFires)
-                << plat.name << " threads=" << threads;
+            EXPECT_EQ(r.pcm, ref.pcm) << plat.name;
+            EXPECT_EQ(r.swRulesFired, ref.swRulesFired) << plat.name;
+            EXPECT_EQ(r.hwRuleFires, ref.hwRuleFires) << plat.name;
         }
         {
             CosimConfig cfg;

@@ -17,7 +17,7 @@
  *
  * Prints "LISTENING <port>" on stdout once bound; serves one
  * connection at a time until killed (or exactly one with --once).
- * Workload names match bench/cosim_parallel: vorbis_<letter>,
+ * Workload names match bench/executor_matrix: vorbis_<letter>,
  * vorbis_split, ray_<letter>, ray_split.
  */
 #include <cstdio>
