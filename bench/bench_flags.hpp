@@ -1,11 +1,11 @@
 /**
  * @file
- * Command-line flags for the bench drivers. Every flag takes exactly
- * one value (`--name VALUE`). An unknown flag (including `--help`), a
- * missing value, a malformed or out-of-range integer or an unknown
- * platform prints the usage text to stderr and exits with status 2,
- * so a mistyped flag can never run a sweep with defaults it did not
- * ask for.
+ * Command-line flags for the bench drivers and tools. Every flag but
+ * a switch takes exactly one value (`--name VALUE`). An unknown flag
+ * (including `--help`), a missing value, a malformed or out-of-range
+ * integer or an unknown platform prints the usage text to stderr and
+ * exits with status 2, so a mistyped flag can never run a sweep with
+ * defaults it did not ask for.
  */
 #ifndef BCL_BENCH_BENCH_FLAGS_HPP
 #define BCL_BENCH_BENCH_FLAGS_HPP
@@ -90,6 +90,19 @@ class Flags
         return *this;
     }
 
+    /** Value-less switch: its presence sets @p out. */
+    Flags &
+    addSwitch(const char *name, const char *help, bool *out)
+    {
+        flags_.push_back({name, "", help,
+                          [out](const char *) {
+                              *out = true;
+                              return true;
+                          },
+                          false});
+        return *this;
+    }
+
     /** `--platform FILE|PRESET`, resolved into @p out at parse time;
      *  a bad preset or config file prints its diagnostic and the
      *  usage. */
@@ -117,6 +130,10 @@ class Flags
             const Flag *flag = find(argv[i]);
             if (!flag)
                 fail(std::string("unknown flag '") + argv[i] + "'");
+            if (!flag->takesValue) {
+                flag->parse(nullptr);
+                continue;
+            }
             if (i + 1 >= argc)
                 fail(std::string(argv[i]) + " needs a value");
             if (!flag->parse(argv[i + 1])) {
@@ -127,6 +144,24 @@ class Flags
         }
     }
 
+    /** Print @p why and the usage text to stderr, exit 2. */
+    [[noreturn]] void
+    fail(const std::string &why) const
+    {
+        std::fprintf(stderr, "%s: %s\nusage: %s", program_.c_str(),
+                     why.c_str(), program_.c_str());
+        auto lhs = [](const Flag &f) {
+            return f.meta.empty() ? std::string(f.name)
+                                  : std::string(f.name) + " " + f.meta;
+        };
+        for (const Flag &f : flags_)
+            std::fprintf(stderr, " [%s]", lhs(f).c_str());
+        std::fprintf(stderr, "\n");
+        for (const Flag &f : flags_)
+            std::fprintf(stderr, "  %-24s  %s\n", lhs(f).c_str(), f.help);
+        std::exit(2);
+    }
+
   private:
     struct Flag
     {
@@ -134,6 +169,7 @@ class Flags
         std::string meta;
         const char *help;
         std::function<bool(const char *)> parse;
+        bool takesValue = true;
     };
 
     const Flag *
@@ -144,21 +180,6 @@ class Flags
                 return &f;
         }
         return nullptr;
-    }
-
-    [[noreturn]] void
-    fail(const std::string &why) const
-    {
-        std::fprintf(stderr, "%s: %s\nusage: %s", program_.c_str(),
-                     why.c_str(), program_.c_str());
-        for (const Flag &f : flags_)
-            std::fprintf(stderr, " [%s %s]", f.name, f.meta.c_str());
-        std::fprintf(stderr, "\n");
-        for (const Flag &f : flags_) {
-            const std::string lhs = std::string(f.name) + " " + f.meta;
-            std::fprintf(stderr, "  %-24s  %s\n", lhs.c_str(), f.help);
-        }
-        std::exit(2);
     }
 
     std::string program_;

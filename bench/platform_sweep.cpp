@@ -157,7 +157,8 @@ main(int argc, char **argv)
     int ray_prims = 64;
     std::string configs_dir = "configs";
     std::string json_path;
-    bench::Flags("platform_sweep")
+    bench::Flags flags("platform_sweep");
+    flags
         .add("--frames", "N", "Vorbis frames per run", &frames, 1)
         .add("--ray-size", "N", "ray image width and height", &ray_size,
              1)
@@ -176,13 +177,21 @@ main(int argc, char **argv)
         base.spec = PlatformSpec::ml507();
         scenarios.push_back(std::move(base));
     }
-    for (const char *file :
-         {"fast_fabric.config", "slow_bus.config", "noc_mesh.config"}) {
-        Scenario s;
-        s.source = configs_dir + "/" + file;
-        s.spec = loadPlatformSpec(s.source);
-        s.name = s.spec.name;
-        scenarios.push_back(std::move(s));
+    const std::string het_path =
+        configs_dir + "/het_onchip_offchip.config";
+    PlatformSpec het;
+    try {
+        for (const char *file : {"fast_fabric.config", "slow_bus.config",
+                                 "noc_mesh.config"}) {
+            Scenario s;
+            s.source = configs_dir + "/" + file;
+            s.spec = loadPlatformSpec(s.source);
+            s.name = s.spec.name;
+            scenarios.push_back(std::move(s));
+        }
+        het = loadPlatformSpec(het_path);
+    } catch (const FatalError &err) {
+        flags.fail(err.what());
     }
 
     printf("platform scenario sweep: vorbis split (%d frames), "
@@ -223,8 +232,6 @@ main(int argc, char **argv)
     // topology section charges SW<->HW crossings to a slow off-chip
     // class while HW<->HW stays on-chip. Outputs must still match;
     // the per-link accounting must differ from the uniform baseline.
-    std::string het_path = configs_dir + "/het_onchip_offchip.config";
-    PlatformSpec het = loadPlatformSpec(het_path);
     WorkloadPoint het_pt = runVorbisUnder(het, frames, &base_pcm);
     all_match = all_match && het_pt.outputsMatch;
     bool occupancy_differs = false;

@@ -25,7 +25,7 @@
  *                [--hw-backend interpreted|compiled]
  *                [--verify M] [--json FILE] [--trace FILE]
  *                [--partition F|A|B|C|D|E]
- *                [--transport inthread|shm|tcp]
+ *                [--transport inthread|shm|tcp] [--platform FILE|PRESET]
  * --transport moves each session's hardware domains into forked
  * partition children (shm rings or framed loopback TCP) — the
  * distributed serving shape, one child per hardware domain per live
@@ -124,7 +124,7 @@ main(int argc, char **argv)
     std::string trace_path;
     std::string partition;
     std::string transport = "inthread";
-    std::string platform_arg;
+    PlatformSpec platform = PlatformSpec::ml507();
     bench::Flags("serving")
         .add("--sessions", "N,N,...", "sweep points (sessions)",
              [&sweeps](const char *v) {
@@ -144,8 +144,7 @@ main(int argc, char **argv)
              "Vorbis partition", &partition)
         .add("--transport", {"inthread", "shm", "tcp"},
              "where hardware domains run", &transport)
-        .add("--platform", "FILE|PRESET", "platform model",
-             &platform_arg)
+        .addPlatform(&platform)
         .parse(argc, argv);
 
     // The frame-latency percentiles come from the registry histogram,
@@ -233,7 +232,6 @@ main(int argc, char **argv)
 
         SessionManagerOptions mopts;
         mopts.workers = workers;
-        mopts.platform = platform_arg;
         SessionManager mgr(mopts);
         effective_workers = mgr.pool().workers();
         obs::Histogram &frame_hist =
@@ -241,6 +239,7 @@ main(int argc, char **argv)
         frame_hist.reset();
 
         CosimConfig cfg;
+        cfg.platform = platform;
         cfg.swBackend = sw_backend;
         cfg.defaultTransport = tkind;
         cfg.transportTimeoutMs = 60000;
@@ -257,7 +256,7 @@ main(int argc, char **argv)
         // exists to amortize, and at n=100 it would otherwise
         // dominate the point. Passing it as cfg.swArtifact makes
         // per-session instantiation pure bcl_gen_create instead of
-        // re-running codegen for the cache key on every lookup.
+        // hashing the program for the cache key on every lookup.
         auto t_build0 = std::chrono::steady_clock::now();
         if (sw_backend == SwBackend::Compiled) {
             GenccOptions gopts;
@@ -324,8 +323,8 @@ main(int argc, char **argv)
                 scfg.hwBackend = HwBackend::Compiled;
             // The oracle builds its own program and cosim and runs
             // serially; routing its compile through the same cache
-            // only shares the binary (its independently generated
-            // source hashes to the same key — itself a property worth
+            // only shares the binary (its independently elaborated
+            // program has the same identity — itself a property worth
             // exercising) and keeps verification O(ms) per stream.
             scfg.compileProvider = [&](const ElabProgram &p,
                                        const GenccOptions &o) {
@@ -393,9 +392,7 @@ main(int argc, char **argv)
             << "  \"frames_per_session\": " << frames << ",\n"
             << "  \"compile_cache\": {\"compiles\": "
             << cacheStats.compiles << ", \"hits\": " << cacheStats.hits
-            << ", \"disk_hits\": " << cacheStats.diskHits
-            << ", \"corrupt_fallbacks\": "
-            << cacheStats.corruptFallbacks << ", \"hit_ratio\": "
+            << ", \"hit_ratio\": "
             << obs::metrics().gauge("serve.cache.hit_ratio").value()
             << "},\n"
             << "  \"metrics\": " << obs::metrics().toJson() << ",\n"

@@ -20,6 +20,7 @@
 #ifndef BCL_CORE_ELABORATE_HPP
 #define BCL_CORE_ELABORATE_HPP
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -108,6 +109,20 @@ struct ElabProgram
  * primitive constructors, instantiation cycles).
  */
 ElabProgram elaborate(const Program &prog);
+
+/**
+ * The program's identity: a structural hash (FNV-1a64) of everything
+ * the C++ code generator reads — every prim (id, kind, path, full
+ * type, initial value, capacity, size), every rule and method (id,
+ * name, signature, resolved body) and the root interface's method
+ * list. Code generation is a pure function of these, so equal
+ * identities mean equal generated source: the CompileCache keys
+ * artifacts on it, and the remote handshake compares it to prove both
+ * processes elaborated the same partition. Domain names and channel
+ * ids are left out: neither the code generator nor the simulators
+ * read them, so parts that differ only there are the same program.
+ */
+std::uint64_t programIdentity(const ElabProgram &prog);
 
 } // namespace bcl
 

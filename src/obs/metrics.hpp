@@ -33,8 +33,6 @@
  *   serve.pool.failed                    counter
  *   serve.cache.compiles                 counter
  *   serve.cache.hits                     counter
- *   serve.cache.disk_hits                counter
- *   serve.cache.corrupt_fallbacks        counter
  *   serve.cache.hit_ratio                gauge
  *
  * Cost model: every record site is a single relaxed atomic load of

@@ -420,7 +420,6 @@ CoSim::CoSim(const PartitionResult &parts, CosimConfig config)
                       "', which this partitioning does not have");
         }
     };
-    requireDomains(cfg.kinds, "kinds");
     requireDomains(cfg.transports, "transports");
     requireDomains(cfg.remoteEndpoints, "remoteEndpoints");
 
@@ -509,15 +508,8 @@ CoSim::CoSim(const PartitionResult &parts, CosimConfig config)
 std::shared_ptr<const CompiledArtifact>
 CoSim::artifactFor(const PartitionPart &part, DomainKind kind) const
 {
-    if (kind == DomainKind::Software && cfg.swArtifact) {
-        // Software domains are built first, so any domain already
-        // built is another software domain.
-        if (!domains_.empty())
-            fatal("CosimConfig::swArtifact is per-partition; this "
-                  "PartitionResult has multiple software domains — use "
-                  "compileProvider instead");
+    if (kind == DomainKind::Software && cfg.swArtifact)
         return cfg.swArtifact;
-    }
     GenccOptions opts;
     opts.mode = cfg.swGenMode;
     if (cfg.compileProvider)

@@ -141,16 +141,15 @@ struct CosimConfig
 
     /**
      * Pre-resolved artifact for the software domain, taking
-     * precedence over compileProvider. compileProvider keys on a
-     * hash of the generated source, so every lookup re-runs codegen
-     * (~tens of ms for Vorbis); a caller stamping out thousands of
-     * sessions of ONE partitioning resolves the artifact once
-     * (CompileCache::get) and passes it here, making instantiation
-     * pure bcl_gen_create. The caller asserts the artifact was built
-     * from this partition's program under swGenMode — the layout
-     * cross-check at load time does not re-run per instance. Only
-     * valid when the partition has exactly one software domain
-     * (fatal otherwise: the artifact is per-partition).
+     * precedence over compileProvider. A compileProvider lookup
+     * through the CompileCache hashes the program (programIdentity,
+     * ~1.5 ms for full-software Vorbis); a caller stamping out
+     * thousands of sessions of ONE partitioning resolves the artifact
+     * once (CompileCache::get) and passes it here, making
+     * instantiation pure bcl_gen_create. The caller asserts the
+     * artifact was built from this partition's "SW" program under
+     * swGenMode — the layout cross-check at load time does not re-run
+     * per instance.
      */
     std::shared_ptr<const CompiledArtifact> swArtifact;
 
@@ -179,18 +178,11 @@ struct CosimConfig
      */
     bool trace = true;
 
-    /** Domain disciplines; domains absent here default to Hardware,
-     *  except "SW" which defaults to Software. Naming a domain the
-     *  partitioning does not have is fatal (so is naming one in
-     *  transports or remoteEndpoints). */
-    std::map<std::string, DomainKind> kinds;
-
-    DomainKind
-    kindOf(const std::string &domain) const
+    /** Domain discipline: "SW" is the software domain, every other
+     *  domain is hardware. */
+    static DomainKind
+    kindOf(const std::string &domain)
     {
-        auto it = kinds.find(domain);
-        if (it != kinds.end())
-            return it->second;
         return domain == "SW" ? DomainKind::Software
                               : DomainKind::Hardware;
     }
@@ -211,7 +203,9 @@ struct CosimConfig
      */
     TransportKind defaultTransport = TransportKind::InThread;
 
-    /** Per-domain overrides of defaultTransport. */
+    /** Per-domain overrides of defaultTransport. Naming a domain the
+     *  partitioning does not have is fatal (so is naming one in
+     *  remoteEndpoints). */
     std::map<std::string, TransportKind> transports;
 
     TransportKind

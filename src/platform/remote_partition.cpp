@@ -11,7 +11,6 @@
 #include <unistd.h>
 
 #include "common/logging.hpp"
-#include "core/astprint.hpp"
 #include "core/codegen_cpp.hpp"
 #include "obs/metrics.hpp"
 #include "platform/marshal.hpp"
@@ -46,101 +45,11 @@ parseTransportKind(const std::string &name)
           "' (expected inthread|shm|tcp)");
 }
 
-namespace {
-
-void
-mix64(std::uint64_t &h, std::uint64_t v)
-{
-    for (int i = 0; i < 8; i++) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= 1099511628211ull;
-    }
-}
-
-void
-mixStr(std::uint64_t &h, const std::string &s)
-{
-    mix64(h, s.size());
-    for (char c : s) {
-        h ^= static_cast<std::uint8_t>(c);
-        h *= 1099511628211ull;
-    }
-}
-
-} // namespace
-
-std::uint64_t
-programSignature(const ElabProgram &prog)
-{
-    std::uint64_t h = 14695981039346656037ull;
-    mix64(h, prog.prims.size());
-    for (const auto &prim : prog.prims) {
-        mix64(h, static_cast<std::uint64_t>(prim.id));
-        mixStr(h, prim.kind);
-        mixStr(h, prim.path);
-        mix64(h, prim.type
-                     ? static_cast<std::uint64_t>(prim.type->flatWidth())
-                     : ~0ull);
-        mix64(h, static_cast<std::uint64_t>(prim.capacity));
-        mix64(h, static_cast<std::uint64_t>(prim.size));
-        mixStr(h, prim.domA);
-        mixStr(h, prim.domB);
-        mix64(h, static_cast<std::uint64_t>(prim.channelId));
-    }
-    mix64(h, prog.rules.size());
-    for (const auto &rule : prog.rules) {
-        mix64(h, static_cast<std::uint64_t>(rule.id));
-        mixStr(h, rule.name);
-        mixStr(h, rule.domain);
-        mixStr(h, printAction(rule.body));
-    }
-    mix64(h, prog.methods.size());
-    for (const auto &meth : prog.methods) {
-        mix64(h, static_cast<std::uint64_t>(meth.id));
-        mixStr(h, meth.name);
-        mixStr(h, meth.domain);
-        mix64(h, meth.params.size());
-        for (const auto &param : meth.params) {
-            mixStr(h, param.name);
-            mixStr(h, printType(param.type));
-        }
-        mixStr(h, meth.isAction ? printAction(meth.body)
-                                : printExpr(meth.value));
-    }
-    return h;
-}
-
 // ---------------------------------------------------------------------------
 // Concrete links
 // ---------------------------------------------------------------------------
 
 namespace {
-
-class TcpRemoteLink final : public RemoteLink
-{
-  public:
-    explicit TcpRemoteLink(int fd) : conn_(fd) {}
-
-    bool
-    send(const Frame &f, int) override
-    {
-        return conn_.send(f);
-    }
-
-    RecvStatus
-    recv(Frame &out, int timeout_ms) override
-    {
-        return conn_.recv(out, timeout_ms);
-    }
-
-    const std::string &error() const override
-    {
-        return conn_.error();
-    }
-
-  private:
-    FrameConn conn_;
-};
 
 /** Parent side: owns the segment; child side: borrows it (the
  *  segment object lives in the parent's proxy, but the pages are
@@ -238,7 +147,7 @@ int
 servePartitionSlices(RemoteLink &link, const ElabProgram &prog,
                      int timeout_ms)
 {
-    const std::uint64_t hash = programSignature(prog);
+    const std::uint64_t hash = programIdentity(prog);
 
     // --- handshake: refuse before any payload flows ----------------
     Frame f;
@@ -257,7 +166,7 @@ servePartitionSlices(RemoteLink &link, const ElabProgram &prog,
                 ? "ABI version mismatch: peer " +
                       std::to_string(peer_abi) + ", host " +
                       std::to_string(kCppGenAbiVersion)
-                : "program signature mismatch: the two processes "
+                : "program identity mismatch: the two processes "
                   "elaborated different partitions";
         refuse.setText(why);
         link.send(refuse, timeout_ms);
@@ -531,7 +440,7 @@ RemoteHwPartition::handshake(const RemoteOptions &opts)
             : static_cast<std::uint32_t>(kCppGenAbiVersion);
     put64(hello.payload, 1,
           opts.helloHashOverride != 0 ? opts.helloHashOverride
-                                      : programSignature(prog_));
+                                      : programIdentity(prog_));
     if (!link_->send(hello, timeoutMs_))
         die("handshake send failed (peer gone?)");
     Frame resp;
@@ -551,7 +460,7 @@ RemoteHwPartition::handshake(const RemoteOptions &opts)
     // accepted ours (it cannot have: hashes differ symmetrically).
     if (resp.payload[0] !=
             static_cast<std::uint32_t>(kCppGenAbiVersion) ||
-        get64(resp.payload, 1) != programSignature(prog_))
+        get64(resp.payload, 1) != programIdentity(prog_))
         die("handshake ack advertises a different ABI/program");
 }
 

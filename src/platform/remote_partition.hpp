@@ -29,7 +29,7 @@
  * The child is stateless with respect to absolute virtual time (the
  * parent owns the clock), so the coordinator's quiescence-advance
  * logic needs no changes. A handshake verifying kCppGenAbiVersion
- * and the program signature runs before any payload; peer death or
+ * and programIdentity() runs before any payload; peer death or
  * a slice overrunning the transport timeout surfaces as one clean
  * FatalError naming the domain and pid.
  */
@@ -61,18 +61,6 @@ const char *transportName(TransportKind k);
 /** Parse "inthread" | "shm" | "tcp" (bench flags); panics otherwise. */
 TransportKind parseTransportKind(const std::string &name);
 
-/**
- * Order-insensitive-free structural hash of an elaborated partition:
- * FNV-1a64 over every prim's identity (id, kind, path, width,
- * capacity, domains, channel), every rule's (id, name, domain,
- * printed body) and every method's (id, name, domain, params,
- * printed body). Both handshake sides compute it from their own
- * ElabProgram — a match means the two processes elaborated the same
- * partition, so marshaled payloads demarshal identically and both
- * sides run the same rules.
- */
-std::uint64_t programSignature(const ElabProgram &prog);
-
 /** Transport-agnostic frame pipe between coordinator and partition
  *  host (framed TCP or shm rings speak the same logical frames). */
 class RemoteLink
@@ -82,6 +70,23 @@ class RemoteLink
     virtual bool send(const Frame &f, int timeout_ms) = 0;
     virtual RecvStatus recv(Frame &out, int timeout_ms) = 0;
     virtual const std::string &error() const = 0;
+};
+
+/** A RemoteLink over one connected loopback TCP socket (either end:
+ *  the coordinator's proxy or a partition host). */
+class TcpRemoteLink final : public RemoteLink
+{
+  public:
+    explicit TcpRemoteLink(int fd) : conn_(fd) {}
+    bool send(const Frame &f, int) override { return conn_.send(f); }
+    RecvStatus recv(Frame &out, int timeout_ms) override
+    {
+        return conn_.recv(out, timeout_ms);
+    }
+    const std::string &error() const override { return conn_.error(); }
+
+  private:
+    FrameConn conn_;
 };
 
 /** Tuning/testing knobs for a remote partition. */
@@ -162,7 +167,7 @@ class RemoteHwPartition
 
 /**
  * Partition-host slice server: the child/host half of the protocol.
- * Handshakes (refusing an ABI or program-signature mismatch before
+ * Handshakes (refusing an ABI or program-identity mismatch before
  * any payload), then serves Msg/Run until Shutdown or peer death.
  * @return process exit code (0 orderly, 2 bad handshake frame,
  * 3 refused, 4 transport corrupt).

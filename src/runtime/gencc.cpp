@@ -114,22 +114,6 @@ makeWorkDir()
     return std::string(buf.data());
 }
 
-/**
- * Unique per-artifact file stem: pid + process-wide counter. Two
- * concurrent compiles of different partitions may legitimately share
- * a caller-provided workDir (the CompileCache does exactly that), so
- * emitted names must never collide — neither within this process
- * (counter) nor across processes pointed at the same directory
- * (pid).
- */
-std::string
-uniqueStem()
-{
-    static std::atomic<std::uint64_t> counter{0};
-    return "partition_" + std::to_string(::getpid()) + "_" +
-           std::to_string(counter.fetch_add(1));
-}
-
 std::string
 readAll(const std::string &path, size_t limit = 4000)
 {
@@ -258,14 +242,12 @@ void
 compileSharedObject(const CppUnits &units,
                     const std::vector<std::vector<std::size_t>> &plan,
                     const std::string &stem,
-                    const std::string &include_dir,
                     const std::string &extra_flags)
 {
-    const std::string inc =
-        include_dir.empty() ? defaultIncludeDir() : include_dir;
+    const std::string inc = defaultIncludeDir();
     if (inc.empty())
         fatal("gencc: include directory for runtime/gen_support.hpp "
-              "unknown; set GenccOptions::includeDir");
+              "unknown (built without BCL_GENCC_INCLUDE_DIR)");
     if (plan.empty())
         panic("gencc: empty shard plan");
     const std::string so = stem + ".so";
@@ -373,15 +355,12 @@ CompiledArtifact::hostCompilerAvailable()
 
 CompiledArtifact::CompiledArtifact(const ElabProgram &prog,
                                    GenccOptions opts)
-    : prog_(prog), opts_(std::move(opts))
+    : prog_(prog)
 {
-    if (!opts_.reuseSoPath.empty()) {
-        // Adopt an existing shared object (CompileCache disk hit).
-        // No files are emitted, so destruction removes nothing.
-        dir_ = std::filesystem::path(opts_.reuseSoPath)
-                   .parent_path()
-                   .string();
-        load(opts_.reuseSoPath);
+    if (!opts.reuseSoPath.empty()) {
+        // Adopt an existing shared object: no scratch directory, so
+        // destruction removes nothing.
+        load(opts.reuseSoPath);
         return;
     }
     if (!hostCompilerAvailable())
@@ -390,16 +369,10 @@ CompiledArtifact::CompiledArtifact(const ElabProgram &prog,
               "') — guard call sites with hostCompilerAvailable()");
 
     const CppUnits units =
-        generateCppUnits(prog_, "BclGenPartition", opts_.mode);
-    source_ = units.str();
-    ownDir_ = opts_.workDir.empty();
-    dir_ = ownDir_ ? makeWorkDir() : opts_.workDir;
-    const std::string stem =
-        dir_ + "/" +
-        (opts_.fileStem.empty() ? uniqueStem() : opts_.fileStem);
-    files_ = {stem + ".cpp", stem + ".so", stem + ".log"};
+        generateCppUnits(prog_, "BclGenPartition", opts.mode);
+    dir_ = makeWorkDir();
+    const std::string stem = dir_ + "/partition";
     try {
-        std::filesystem::create_directories(dir_);
         const auto plan = planShards(units, hostCores());
         // Host-compiler invocations dominate cold-start serving
         // latency; the span + histogram make them visible next to
@@ -408,8 +381,7 @@ CompiledArtifact::CompiledArtifact(const ElabProgram &prog,
         obs::TraceSpan span("gencc.compile", "gencc", true, "shards",
                             static_cast<std::int64_t>(plan.size()));
         auto t0 = std::chrono::steady_clock::now();
-        compileSharedObject(units, plan, stem, opts_.includeDir,
-                            opts_.extraFlags);
+        compileSharedObject(units, plan, stem, opts.extraFlags);
         obs::metrics().counter("gencc.compiles").add(1);
         obs::metrics()
             .histogram("gencc.compile_ms",
@@ -417,7 +389,7 @@ CompiledArtifact::CompiledArtifact(const ElabProgram &prog,
             .observe(std::chrono::duration<double, std::milli>(
                          std::chrono::steady_clock::now() - t0)
                          .count());
-        load(files_[1]);
+        load(stem + ".so");
     } catch (...) {
         // The destructor will not run: clean up here.
         removeEmitted();
@@ -428,7 +400,6 @@ CompiledArtifact::CompiledArtifact(const ElabProgram &prog,
 void
 CompiledArtifact::load(const std::string &so_path)
 {
-    so_ = so_path;
     dl_ = dlopen(so_path.c_str(), RTLD_NOW | RTLD_LOCAL);
     if (!dl_)
         fatal(std::string("gencc: dlopen failed: ") + dlerror());
@@ -495,9 +466,8 @@ CompiledArtifact::resolveAbi()
     // Layout cross-check: the word count the generated side derived
     // for every ABI-visible primitive must match the host's own
     // derivation from the same Type — any drift here would corrupt
-    // every message silently. On a reused .so this doubles as the
-    // cache-integrity check: a stale object for a different program
-    // fatals here instead of aliasing.
+    // every message silently. On a reused .so (reuseSoPath) a stale
+    // object for a different program fatals here instead of aliasing.
     payloads_.assign(prog_.prims.size(), {});
     for (const auto &prim : prog_.prims) {
         PayloadLayout &slot = payloads_[static_cast<size_t>(prim.id)];
@@ -533,19 +503,9 @@ CompiledArtifact::~CompiledArtifact()
 void
 CompiledArtifact::removeEmitted()
 {
-    if (opts_.keepArtifacts)
-        return;
     std::error_code ec;
-    if (ownDir_) {
-        if (!dir_.empty())
-            std::filesystem::remove_all(dir_, ec);
-    } else {
-        // Caller-provided (possibly shared) directory: remove only
-        // the files this artifact emitted, never the directory or a
-        // sibling compile's output.
-        for (const std::string &f : files_)
-            std::filesystem::remove(f, ec);
-    }
+    if (!dir_.empty())
+        std::filesystem::remove_all(dir_, ec);
 }
 
 // ---------------------------------------------------------------------------

@@ -22,16 +22,18 @@
  * The backend is split along the paper's own artifact/instance line:
  *
  *   CompiledArtifact  - generate + compile + dlopen, ONCE per distinct
- *                       generated source. The compile is always a full
- *                       cold build of every unit, spread over up to
- *                       hardware_concurrency() host-compiler
- *                       processes (planShards). Immutable after
- *                       construction and safe to share across threads;
- *                       it owns the dl handle, the resolved ABI entry
- *                       points and a private copy of the ElabProgram
- *                       (so its lifetime is self-contained). The
- *                       serving layer's CompileCache hands the same
- *                       artifact to thousands of sessions.
+ *                       program (programIdentity). The compile is
+ *                       always a full cold build of every unit,
+ *                       spread over up to hardware_concurrency()
+ *                       host-compiler processes (planShards).
+ *                       Immutable after construction and safe to
+ *                       share across threads; it owns the dl handle,
+ *                       the resolved ABI entry points, its scratch
+ *                       directory and a private copy of the
+ *                       ElabProgram (so its lifetime is
+ *                       self-contained). The serving layer's
+ *                       CompileCache hands the same artifact to
+ *                       thousands of sessions.
  *   CompiledPartition - ONE live instance of the generated class
  *                       (`bcl_gen_create`), holding a shared_ptr to
  *                       its artifact. Cheap to construct: no compile,
@@ -47,15 +49,14 @@
  * popPrim / popDevice / primSize / reservePrim / callActionMethod)
  * must come from one thread at a time. The partition *enforces* this
  * per instance — the first mutating call binds the owning thread and
- * a call from any other thread panics — so a parallel co-simulation
- * (or serving pool) that accidentally shared an instance across
- * workers fails loudly instead of corrupting the shadow state. Two
- * instances of the same artifact are independent and may be driven
- * from two threads concurrently. Ownership of one instance moves
- * between threads only through an explicit rebindThread() at a
- * synchronization point (the co-simulation calls it at epoch-barrier
- * boundaries; the serving pool calls it when a session is requeued so
- * the next worker can claim it). Counter reads (rulesFired /
+ * a call from any other thread panics — so a serving pool that
+ * accidentally shared an instance across workers fails loudly instead
+ * of corrupting the shadow state. Two instances of the same artifact
+ * are independent and may be driven from two threads concurrently.
+ * Ownership of one instance moves between threads only through an
+ * explicit rebindThread() at a synchronization point (the serving
+ * pool calls it, through CoSim::rebindCompiledThreads, when a session
+ * is requeued so the next worker can claim it). Counter reads (rulesFired /
  * rulesAttempted) do not bind ownership, but they read plain
  * (non-atomic) counters inside the shared object — reading them while
  * another thread is actively driving the instance is a data race;
@@ -84,43 +85,15 @@ struct GenccOptions
     /** Generation strategy (the §6.3 cost ladder). */
     CppGenMode mode = CppGenMode::Lifted;
 
-    /** Scratch directory; "" creates a unique one under TMPDIR. A
-     *  caller-provided directory may be shared by concurrent
-     *  compiles: emitted file names are unique per artifact
-     *  (pid + process-wide counter), and destruction removes only
-     *  this artifact's files, never the directory. */
-    std::string workDir;
-
-    /** Keep the generated .cpp/.so/compile log on destruction (and
-     *  when the compile fails). */
-    bool keepArtifacts = false;
-
-    /**
-     * Include root for runtime/gen_support.hpp; "" uses the source
-     * tree the harness itself was built from.
-     */
-    std::string includeDir;
-
     /** Extra flags appended to every compile and link command,
      *  separated by whitespace (e.g. "-O0 -g"; no shell quoting). */
     std::string extraFlags;
 
     /**
-     * File stem for the emitted .cpp/.so/.log inside workDir (shard
-     * intermediates add .s<N>.cpp/.o/.log while compiling); ""
-     * picks a unique pid+counter stem. A caller that sets this owns
-     * the uniqueness guarantee (the CompileCache uses the source
-     * hash and serializes compiles per key, so its stems never
-     * collide).
-     */
-    std::string fileStem;
-
-    /**
      * Reuse a pre-existing shared object instead of compiling: when
      * non-empty, skip the generate/compile steps and dlopen this
      * path directly. The ABI-version and marshaled-layout checks
-     * still run, so a stale or corrupted object fatals (the
-     * CompileCache catches that and falls back to a fresh compile).
+     * still run, so a stale or corrupted object fatals.
      */
     std::string reuseSoPath;
 };
@@ -143,14 +116,13 @@ std::vector<std::vector<std::size_t>> planShards(const CppUnits &units,
  * whole source straight to the shared object. Leaves `<stem>.cpp`
  * (the whole source), `<stem>.so` and `<stem>.log`; the shard
  * intermediates are removed whether or not the build succeeds.
- * @p include_dir "" means the source tree this library was built
- * from. Throws FatalError with the log and command line of the
- * first failing job.
+ * runtime/gen_support.hpp comes from the source tree this library
+ * was built from. Throws FatalError with the log and command line of
+ * the first failing job.
  */
 void compileSharedObject(const CppUnits &units,
                          const std::vector<std::vector<std::size_t>> &plan,
                          const std::string &stem,
-                         const std::string &include_dir,
                          const std::string &extra_flags);
 
 /**
@@ -178,17 +150,9 @@ class CompiledArtifact
      *  for the artifact's whole lifetime). */
     const ElabProgram &program() const { return prog_; }
 
-    /** The generated translation unit (for tests/diagnostics; empty
-     *  when the artifact was loaded via reuseSoPath). */
-    const std::string &source() const { return source_; }
-
-    /** Where the .cpp/.so/compile log live. */
+    /** The scratch directory holding the .cpp/.so/compile log
+     *  (empty when the artifact was loaded via reuseSoPath). */
     const std::string &artifactDir() const { return dir_; }
-
-    /** Path of the loaded shared object. */
-    const std::string &soPath() const { return so_; }
-
-    const GenccOptions &options() const { return opts_; }
 
     /** True when the generated object carries a real clock-edge
      *  scheduler (the partition passed validateForHardware at
@@ -201,7 +165,7 @@ class CompiledArtifact
 
     void load(const std::string &so_path);
     void resolveAbi();
-    /** Delete what this artifact emitted (unless keepArtifacts). */
+    /** Delete the scratch directory, if this artifact made one. */
     void removeEmitted();
 
     /** How one primitive's messages cross the ABI. */
@@ -213,16 +177,11 @@ class CompiledArtifact
     };
 
     ElabProgram prog_;  ///< private copy: lifetime self-contained
-    GenccOptions opts_;
     /** Per prim id, resolved once at load (deriving a device payload
      *  type is a whole-program scan — see devicePayloadType). */
     std::vector<PayloadLayout> payloads_;
     std::size_t maxPayloadWords_ = 1;  ///< largest payload (>= 1)
-    std::string source_;
-    std::string dir_;
-    std::string so_;
-    bool ownDir_ = false;  ///< we created dir_ (vs caller-provided)
-    std::vector<std::string> files_;  ///< files we emitted into dir_
+    std::string dir_;  ///< own scratch dir ("" when reusing a .so)
     void *dl_ = nullptr;
 
     // Resolved ABI entry points (immutable after construction).
@@ -338,15 +297,6 @@ class CompiledPartition
     const ElabProgram &program() const
     {
         return artifact_->program();
-    }
-
-    /** The generated translation unit (for tests/diagnostics). */
-    const std::string &source() const { return artifact_->source(); }
-
-    /** Where the .cpp/.so/compile log live. */
-    const std::string &artifactDir() const
-    {
-        return artifact_->artifactDir();
     }
 
     /** The shared compile/dlopen half behind this instance. */

@@ -1,162 +1,14 @@
 #include "serve/compile_cache.hpp"
 
-#include <atomic>
-#include <cstdio>
-#include <filesystem>
-
-#include <unistd.h>
-
-#include "common/logging.hpp"
 #include "obs/trace.hpp"
 
 namespace bcl {
 namespace serve {
 
-namespace {
-
-/** FNV-1a over the bytes of @p s, folded into the running @p h. */
-std::uint64_t
-fnv1a(std::uint64_t h, const std::string &s)
-{
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 1099511628211ull;
-    }
-    // Separator: "ab"+"c" and "a"+"bc" must not collide.
-    h ^= 0xff;
-    h *= 1099511628211ull;
-    return h;
-}
-
-std::string
-hex64(std::uint64_t h)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(h));
-    return buf;
-}
-
-const char *
-modeName(CppGenMode m)
-{
-    switch (m) {
-      case CppGenMode::Naive: return "naive";
-      case CppGenMode::Inlined: return "inlined";
-      case CppGenMode::Lifted: return "lifted";
-    }
-    return "?";
-}
-
-} // namespace
-
-std::string
-compileCacheKey(const ElabProgram &prog, const GenccOptions &opts)
-{
-    // The generated source is the ground truth the .so was built
-    // from; mode is folded in twice (it changes the source anyway,
-    // but belt and braces), and the flag/include knobs change the
-    // binary without changing the source.
-    std::uint64_t h = 1469598103934665603ull;
-    h = fnv1a(h, generateCpp(prog, "BclGenPartition", opts.mode));
-    h = fnv1a(h, modeName(opts.mode));
-    h = fnv1a(h, opts.extraFlags);
-    h = fnv1a(h, opts.includeDir);
-    return hex64(h);
-}
-
-CompileCache::CompileCache(CompileCacheOptions opts)
-    : opts_(std::move(opts))
-{
-    if (!opts_.dir.empty())
-        std::filesystem::create_directories(opts_.dir);
-}
-
-std::shared_ptr<const CompiledArtifact>
-CompileCache::build(const ElabProgram &prog, GenccOptions opts,
-                    const std::string &key)
-{
-    if (!opts_.dir.empty()) {
-        // Disk layer: deterministic published name inside the cache
-        // dir, files persisted past the artifact (keepArtifacts) so
-        // a later cache instance gets a disk hit.
-        opts.workDir = opts_.dir;
-        opts.keepArtifacts = true;
-        std::string so = opts_.dir + "/" + key + ".so";
-        if (std::filesystem::exists(so)) {
-            GenccOptions reuse = opts;
-            reuse.reuseSoPath = so;
-            try {
-                auto art = std::make_shared<const CompiledArtifact>(
-                    prog, std::move(reuse));
-                obs::trace().instant("cache.disk_hit", "serve.cache");
-                std::lock_guard<std::mutex> lock(mu_);
-                stats_.diskHits++;
-                return art;
-            } catch (const Error &err) {
-                // Corrupted / stale / truncated entry: drop it and
-                // recompile. Validation is dlopen + ABI version +
-                // marshaled-layout cross-check (gencc.cpp).
-                warn("compile cache: persisted entry " + so +
-                     " failed validation (" + err.what() +
-                     "); recompiling");
-                std::error_code ec;
-                std::filesystem::remove(so, ec);
-                std::lock_guard<std::mutex> lock(mu_);
-                stats_.corruptFallbacks++;
-            }
-        }
-    } else {
-        opts.workDir.clear();
-        opts.fileStem.clear();
-        opts.keepArtifacts = false;
-    }
-    opts.reuseSoPath.clear();
-    obs::trace().instant("cache.compile", "serve.cache");
-
-    if (opts_.dir.empty()) {
-        auto art = std::make_shared<const CompiledArtifact>(
-            prog, std::move(opts));
-        std::lock_guard<std::mutex> lock(mu_);
-        stats_.compiles++;
-        return art;
-    }
-
-    // Disk layer, compile path. The published stem must never be
-    // written directly: two PROCESSES sharing one cache dir would
-    // race on <key>.cpp/.so/.log (the in-process promise map cannot
-    // arbitrate across processes), and a reader could dlopen a
-    // half-written .so. Compile under a process-unique temp stem,
-    // dlopen that, then publish with rename(2) — atomic within the
-    // directory, so concurrent publishers are last-wins over
-    // identical content (the key IS a hash of the generated source)
-    // and readers only ever see a complete file.
-    static std::atomic<std::uint64_t> tmpCounter{0};
-    std::string tmp_stem =
-        key + ".tmp." +
-        std::to_string(static_cast<long long>(::getpid())) + "." +
-        std::to_string(
-            tmpCounter.fetch_add(1, std::memory_order_relaxed));
-    opts.fileStem = tmp_stem;
-    auto art =
-        std::make_shared<const CompiledArtifact>(prog, std::move(opts));
-    for (const char *ext : {".so", ".cpp", ".log"}) {
-        std::error_code ec;
-        std::filesystem::rename(opts_.dir + "/" + tmp_stem + ext,
-                                opts_.dir + "/" + key + ext, ec);
-        // A missing .log (compiler wrote nothing) is fine; a failed
-        // .so publish only costs a future disk hit, never
-        // correctness — this process keeps its dlopen'd instance.
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.compiles++;
-    return art;
-}
-
 std::shared_ptr<const CompiledArtifact>
 CompileCache::get(const ElabProgram &prog, const GenccOptions &opts)
 {
-    const std::string key = compileCacheKey(prog, opts);
+    const Key key{programIdentity(prog), opts.mode, opts.extraFlags};
 
     std::promise<std::shared_ptr<const CompiledArtifact>> promise;
     ArtifactFuture future;
@@ -173,12 +25,19 @@ CompileCache::get(const ElabProgram &prog, const GenccOptions &opts)
             stats_.hits++;
         }
     }
-    if (!builder)
-        obs::trace().instant("cache.hit", "serve.cache");
 
     if (builder) {
+        obs::trace().instant("cache.compile", "serve.cache");
         try {
-            promise.set_value(build(prog, opts, key));
+            GenccOptions build = opts;
+            build.reuseSoPath.clear();
+            auto art = std::make_shared<const CompiledArtifact>(
+                prog, std::move(build));
+            {
+                std::lock_guard<std::mutex> lock(mu_);
+                stats_.compiles++;
+            }
+            promise.set_value(std::move(art));
         } catch (...) {
             // Propagate to every waiter, then clear the key so a
             // later call can retry (e.g. compiler installed, disk
@@ -187,6 +46,8 @@ CompileCache::get(const ElabProgram &prog, const GenccOptions &opts)
             std::lock_guard<std::mutex> lock(mu_);
             entries_.erase(key);
         }
+    } else {
+        obs::trace().instant("cache.hit", "serve.cache");
     }
     return future.get();
 }
@@ -204,13 +65,9 @@ CompileCache::snapshotMetrics(obs::MetricsRegistry &reg) const
     const CompileCacheStats s = stats();
     reg.counter("serve.cache.compiles").set(s.compiles);
     reg.counter("serve.cache.hits").set(s.hits);
-    reg.counter("serve.cache.disk_hits").set(s.diskHits);
-    reg.counter("serve.cache.corrupt_fallbacks")
-        .set(s.corruptFallbacks);
-    const std::uint64_t avoided = s.hits + s.diskHits;
-    const std::uint64_t total = avoided + s.compiles;
+    const std::uint64_t total = s.hits + s.compiles;
     reg.gauge("serve.cache.hit_ratio")
-        .set(total > 0 ? static_cast<double>(avoided) /
+        .set(total > 0 ? static_cast<double>(s.hits) /
                              static_cast<double>(total)
                        : 0.0);
 }

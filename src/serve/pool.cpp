@@ -167,24 +167,12 @@ WorkerPool::snapshotMetrics(obs::MetricsRegistry &reg) const
 // SessionManager
 // ---------------------------------------------------------------------------
 
-SessionManager::SessionManager(Options opts)
-    : trace_(opts.trace), cache_(std::move(opts.cache)),
-      pool_(opts.workers)
-{
-    // Resolve the fleet-wide platform once: a bad preset name or
-    // malformed config file fails the manager's construction, not
-    // the thousandth createSession.
-    if (!opts.platform.empty())
-        platform_ = resolvePlatform(opts.platform);
-}
+SessionManager::SessionManager(Options opts) : pool_(opts.workers) {}
 
 std::shared_ptr<Session>
 SessionManager::createSession(const PartitionResult &parts,
                               CosimConfig cfg, StreamSpec spec)
 {
-    cfg.trace = cfg.trace && trace_;
-    if (platform_)
-        cfg.platform = *platform_;
     if (cfg.swBackend == SwBackend::Compiled && !cfg.compileProvider) {
         cfg.compileProvider = [this](const ElabProgram &prog,
                                      const GenccOptions &opts) {

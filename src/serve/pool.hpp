@@ -28,13 +28,11 @@
 #include <exception>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "platform/platform_spec.hpp"
 #include "serve/compile_cache.hpp"
 #include "serve/session.hpp"
 
@@ -114,27 +112,6 @@ struct SessionManagerOptions
 {
     /** Pool width; 0 = hardware_concurrency. */
     int workers = 0;
-
-    /** Compile-cache configuration (disk layer etc.). */
-    CompileCacheOptions cache;
-
-    /**
-     * Master switch for session observability: ANDed into each
-     * created session's CosimConfig::trace, so a manager can silence
-     * its whole fleet (or a caller can silence all but a sampled
-     * subset by clearing cfg.trace per session).
-     */
-    bool trace = true;
-
-    /**
-     * Platform model for every session this manager creates: a
-     * preset name ("ml507", "pcie") or a `configs/<name>.config` path,
-     * resolved ONCE at manager construction (a malformed config
-     * fails fast, not per session) and stamped into each created
-     * session's CosimConfig::platform. Empty = leave per-session
-     * platforms alone.
-     */
-    std::string platform;
 };
 
 class SessionManager
@@ -151,11 +128,10 @@ class SessionManager
     WorkerPool &pool() { return pool_; }
 
     /**
-     * Create a session over @p parts. @p cfg is taken as-is except:
-     * threads is forced to 1 (Session does this), and when
-     * swBackend == Compiled with no compileProvider set, the
-     * manager's shared cache is wired in — every session of the same
-     * generated source then shares one CompiledArtifact.
+     * Create a session over @p parts. @p cfg is taken as-is, except
+     * that when swBackend == Compiled with no compileProvider set,
+     * the manager's shared cache is wired in — every session of the
+     * same program then shares one CompiledArtifact.
      */
     std::shared_ptr<Session> createSession(
         const PartitionResult &parts, CosimConfig cfg,
@@ -179,9 +155,6 @@ class SessionManager
   private:
     int nextId_ = 0;
     std::mutex idMu_;
-    bool trace_;
-    /** Resolved Options::platform; nullopt = per-session choice. */
-    std::optional<PlatformSpec> platform_;
     CompileCache cache_;
     WorkerPool pool_;
 };

@@ -1,6 +1,6 @@
-# Every bench driver built on bench/bench_flags.hpp must reject a
-# misspelled flag and a malformed value with its usage text and exit
-# status 2, before doing any work (so this test is cheap).
+# Every bench driver and tool built on bench/bench_flags.hpp must
+# reject a misspelled flag and a malformed value with its usage text
+# and exit status 2, before doing any work (so this test is cheap).
 #
 # Run by CTest as: cmake -DBIN_DIR=<dir of the bench binaries> -P <this>
 if(NOT BIN_DIR)
@@ -21,6 +21,11 @@ set(cases
   "partition_sweep --ray-size abc"
   "platform_sweep --frmes 2"
   "platform_sweep --frames abc"
+  "platform_sweep --configs /nonexistent --frames 1"
+  "serving --frmes 2"
+  "serving --platform no_such_platform"
+  "cosim_partition_host --frmes 2"
+  "cosim_partition_host --ray-size abc"
   "strategy_compare --frmes 2"
   "strategy_compare --frames abc"
   "executor_matrix --frmes 2"

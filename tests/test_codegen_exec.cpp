@@ -15,6 +15,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -617,7 +618,7 @@ buildWithPlan(const ElabProgram &prog, const fs::path &dir,
 {
     CppUnits units = generateCppUnits(prog, "BclGenPartition");
     compileSharedObject(units, planShards(units, max_shards),
-                        (dir / stem).string(), "", "");
+                        (dir / stem).string(), "");
     GenccOptions reuse;
     reuse.reuseSoPath = (dir / (stem + ".so")).string();
     return std::make_shared<const CompiledArtifact>(prog, reuse);
@@ -719,15 +720,18 @@ TEST(CodegenExecShards, FullSwVorbisShardedMatchesSingleUnit)
 /**
  * A flag that breaks only the ABI unit: the build fails with one
  * FatalError carrying the failing job's log and command line, and
- * leaves nothing behind in a shared scratch directory.
+ * leaves nothing behind under TMPDIR (the artifact's scratch
+ * directory goes with the failed build).
  */
 TEST(CodegenExecShards, FailingShardRaisesOneErrorWithItsLogAndCommand)
 {
     REQUIRE_HOST_COMPILER();
     PartitionResult parts = vorbisFullSwParts();
     fs::path dir = scratchDir("fail");
+    const char *prev = std::getenv("TMPDIR");
+    const std::string saved = prev ? prev : "";
+    ::setenv("TMPDIR", dir.c_str(), 1);
     GenccOptions opts;
-    opts.workDir = dir.string();
     opts.extraFlags = "-Dbcl_gen_payload_words=@";
     try {
         CompiledArtifact art(parts.part("SW").prog, opts);
@@ -741,31 +745,26 @@ TEST(CodegenExecShards, FailingShardRaisesOneErrorWithItsLogAndCommand)
             << msg;
         EXPECT_EQ(countOccurrences(msg, "(command: "), 1) << msg;
     }
+    if (prev)
+        ::setenv("TMPDIR", saved.c_str(), 1);
+    else
+        ::unsetenv("TMPDIR");
     EXPECT_TRUE(filesIn(dir).empty());
     fs::remove_all(dir);
 }
 
-/** Destroying a sharded artifact removes everything it emitted, in a
- *  shared directory and in its own one. */
+/** Destroying a sharded artifact removes everything it emitted: its
+ *  whole scratch directory. */
 TEST(CodegenExecShards, DestroyRemovesEveryEmittedFile)
 {
     REQUIRE_HOST_COMPILER();
     PartitionResult parts = vorbisFullSwParts();
     const ElabProgram &sw = parts.part("SW").prog;
 
-    fs::path dir = scratchDir("destroy");
-    GenccOptions shared;
-    shared.workDir = dir.string();
-    auto art = std::make_shared<const CompiledArtifact>(sw, shared);
-    EXPECT_EQ(filesIn(dir).size(), 3u) << "the .cpp, .so and .log";
-    EXPECT_FALSE(driveVorbis(art, 2).pcm.empty());
-    art.reset();
-    EXPECT_TRUE(filesIn(dir).empty());
-    fs::remove_all(dir);
-
-    art = std::make_shared<const CompiledArtifact>(sw, GenccOptions{});
+    auto art = std::make_shared<const CompiledArtifact>(sw, GenccOptions{});
     const fs::path own = art->artifactDir();
-    EXPECT_EQ(filesIn(own).size(), 3u);
+    EXPECT_EQ(filesIn(own).size(), 3u) << "the .cpp, .so and .log";
+    EXPECT_FALSE(driveVorbis(art, 2).pcm.empty());
     art.reset();
     EXPECT_FALSE(fs::exists(own));
 }

@@ -580,7 +580,7 @@ TEST(CodegenHw, RaySplitShardedMatchesSingleUnit)
             const std::string stem =
                 (dir / ((per_unit ? "unit" : "one") + std::to_string(n++)))
                     .string();
-            compileSharedObject(units, plan, stem, "", o.extraFlags);
+            compileSharedObject(units, plan, stem, o.extraFlags);
             GenccOptions reuse = o;
             reuse.reuseSoPath = stem + ".so";
             return std::make_shared<const CompiledArtifact>(p, reuse);

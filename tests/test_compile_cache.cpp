@@ -1,21 +1,16 @@
 /**
  * @file
  * Compile-cache semantics (src/serve/compile_cache.hpp): once-only
- * compilation under concurrent requests, key separation between
- * different generated sources and gen modes, the persistent disk
- * layer, and its corrupt-entry fallback. Also pins the gencc scratch
- * naming satellite: two artifacts compiled into the SAME directory
- * must not collide, and destroying one must not take the other's
- * files with it (the pre-PR behavior used a fixed "partition.cpp"
- * stem, which made concurrent compiles clobber each other).
+ * compilation under concurrent requests and key separation between
+ * different programs, gen modes and flags. Also pins the key itself:
+ * programIdentity() over a corpus of every Vorbis and ray
+ * partitioning is equal exactly when the generated source is.
  *
- * Every test auto-skips when no host C++ compiler is available.
+ * Every test that compiles auto-skips when no host C++ compiler is
+ * available.
  */
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -24,18 +19,23 @@
 
 #include "common/logging.hpp"
 #include "core/builder.hpp"
+#include "core/codegen_cpp.hpp"
 #include "core/domains.hpp"
 #include "core/elaborate.hpp"
 #include "core/parser.hpp"
 #include "core/partition.hpp"
 #include "core/typecheck.hpp"
+#include "ray/bvh.hpp"
+#include "ray/partitions.hpp"
+#include "ray/scenegen.hpp"
+#include "ray/trace_bcl.hpp"
 #include "serve/compile_cache.hpp"
+#include "vorbis/partitions.hpp"
 
 namespace bcl {
 namespace {
 
 using namespace bcl::serve;
-namespace fs = std::filesystem;
 
 #define REQUIRE_HOST_COMPILER()                                       \
     do {                                                              \
@@ -82,6 +82,17 @@ sequenceProgram()
     return elab;
 }
 
+/** A ray partitioning over a @p seed scene of 32 spheres, 8x8. */
+PartitionResult
+rayParts(const ray::RayConfig &rcfg, std::uint64_t seed)
+{
+    std::vector<ray::Sphere> scene = ray::makeScene(32, seed);
+    Program prog = ray::makeRayProgram(rcfg, scene, ray::buildBvh(scene),
+                                       ray::makeCamera());
+    ElabProgram elab = elaborate(prog);
+    return partitionProgram(elab, inferDomains(elab));
+}
+
 /** Run an instance of @p artifact to quiescence and drain the named
  *  primitive's queue. */
 std::vector<std::int64_t>
@@ -125,7 +136,6 @@ TEST(CompileCache, SameSourceManyThreadsCompilesOnce)
     CompileCacheStats stats = cache.stats();
     EXPECT_EQ(stats.compiles, 1u);
     EXPECT_EQ(stats.hits, static_cast<std::uint64_t>(kThreads - 1));
-    EXPECT_EQ(stats.diskHits, 0u);
 
     // And the shared artifact actually runs.
     std::vector<std::int64_t> msgs;
@@ -138,9 +148,12 @@ TEST(CompileCache, SameSourceManyThreadsCompilesOnce)
 }
 
 /**
- * Key separation: different generated sources never alias, and the
- * same source under a different gen mode (different binary) gets its
- * own key too — the key covers everything that changes the .so.
+ * Key separation: different programs never alias, and the same
+ * program under a different gen mode or extra flags (a different
+ * binary) gets its own artifact too — the key covers everything that
+ * changes the .so. Two ray scenes share every prim type and width but
+ * differ in their ROM contents, so their HWT parts must not alias
+ * either.
  */
 TEST(CompileCache, DifferentSourcesAndModesNeverAlias)
 {
@@ -152,227 +165,87 @@ TEST(CompileCache, DifferentSourcesAndModesNeverAlias)
     lifted.mode = CppGenMode::Lifted;
     GenccOptions naive;
     naive.mode = CppGenMode::Naive;
-    EXPECT_NE(compileCacheKey(counter, lifted),
-              compileCacheKey(sequence, lifted));
-    EXPECT_NE(compileCacheKey(counter, lifted),
-              compileCacheKey(counter, naive));
     GenccOptions flagged = lifted;
     flagged.extraFlags = "-DBCL_CACHE_KEY_PROBE";
-    EXPECT_NE(compileCacheKey(counter, lifted),
-              compileCacheKey(counter, flagged));
 
     CompileCache cache;
     auto a = cache.get(counter, lifted);
     auto b = cache.get(sequence, lifted);
     EXPECT_NE(a, b);
-    EXPECT_EQ(cache.stats().compiles, 2u);
-    EXPECT_EQ(cache.stats().hits, 0u);
+    EXPECT_NE(cache.get(counter, naive), a);
+    EXPECT_NE(cache.get(counter, flagged), a);
+    EXPECT_EQ(cache.get(counter, lifted), a);
+    EXPECT_EQ(cache.stats().compiles, 4u);
+    EXPECT_EQ(cache.stats().hits, 1u);
 
     // Each artifact runs ITS program: the sequence fills its
     // 3-deep FIFO with 0, 2, 4 and quiesces.
     std::vector<std::int64_t> seq =
         driveAndDrain(b, sequence, "out");
     EXPECT_EQ(seq, (std::vector<std::int64_t>{0, 2, 4}));
+
+    const PartitionResult scene1 = rayParts(ray::splitRayConfig(8, 8), 1);
+    const PartitionResult scene2 = rayParts(ray::splitRayConfig(8, 8), 2);
+    auto t1 = cache.get(scene1.part("HWT").prog, lifted);
+    auto t2 = cache.get(scene2.part("HWT").prog, lifted);
+    EXPECT_NE(t1, t2);
+    EXPECT_EQ(cache.stats().compiles, 6u);
 }
 
 /**
- * Disk layer: a second cache instance pointed at the same directory
- * reuses the persisted .so without invoking the compiler, and its
- * instances behave identically to the compiling cache's.
+ * The cache key is sound and exact over every shipped partitioning:
+ * for each gen mode, two parts have equal programIdentity() exactly
+ * when their generated source is equal. The corpus is every lettered
+ * Vorbis partitioning plus the split, and every lettered ray
+ * partitioning plus the split over two scene seeds (same prim types
+ * and widths, different ROM contents).
  */
-TEST(CompileCache, DiskLayerReusesAcrossCacheInstances)
+TEST(ProgramIdentity, EqualExactlyWhenGeneratedSourceIsEqual)
 {
-    REQUIRE_HOST_COMPILER();
-    ElabProgram prog = sequenceProgram();
-    fs::path dir = fs::temp_directory_path() /
-                   ("bcl_cache_test_" +
-                    std::to_string(::getpid()) + "_disk");
-    fs::create_directories(dir);
-
-    std::vector<std::int64_t> first;
-    {
-        CompileCache cold({dir.string()});
-        first = driveAndDrain(cold.get(prog), prog, "out");
-        EXPECT_EQ(cold.stats().compiles, 1u);
-        EXPECT_EQ(cold.stats().diskHits, 0u);
-    }
-    // The artifact persisted beyond the cache's lifetime.
-    GenccOptions opts;
-    fs::path so = dir / (compileCacheKey(prog, opts) + ".so");
-    ASSERT_TRUE(fs::exists(so)) << so;
-
-    {
-        CompileCache warm({dir.string()});
-        std::vector<std::int64_t> second =
-            driveAndDrain(warm.get(prog), prog, "out");
-        EXPECT_EQ(warm.stats().compiles, 0u)
-            << "warm cache must not invoke the compiler";
-        EXPECT_EQ(warm.stats().diskHits, 1u);
-        EXPECT_EQ(warm.stats().corruptFallbacks, 0u);
-        EXPECT_EQ(second, first);
-    }
-    fs::remove_all(dir);
-}
-
-/**
- * Corrupt-entry fallback: a damaged persisted .so fails validation
- * (dlopen / ABI check) and the cache recompiles instead of serving
- * garbage — counted, and functionally invisible to the caller.
- */
-TEST(CompileCache, CorruptedDiskEntryFallsBackToRecompile)
-{
-    REQUIRE_HOST_COMPILER();
-    ElabProgram prog = sequenceProgram();
-    fs::path dir = fs::temp_directory_path() /
-                   ("bcl_cache_test_" +
-                    std::to_string(::getpid()) + "_corrupt");
-    fs::create_directories(dir);
-
-    std::vector<std::int64_t> first;
-    {
-        CompileCache cold({dir.string()});
-        first = driveAndDrain(cold.get(prog), prog, "out");
-    }
-    GenccOptions opts;
-    fs::path so = dir / (compileCacheKey(prog, opts) + ".so");
-    ASSERT_TRUE(fs::exists(so));
-    {
-        std::ofstream truncate(so, std::ios::trunc);
-        truncate << "not an ELF shared object\n";
+    std::vector<PartitionResult> corpus;
+    for (vorbis::VorbisPartition p : vorbis::allVorbisPartitions())
+        corpus.push_back(
+            vorbis::makeVorbisServeSetup(vorbis::partitionConfig(p)).parts);
+    corpus.push_back(
+        vorbis::makeVorbisServeSetup(vorbis::splitVorbisConfig()).parts);
+    for (std::uint64_t seed : {1u, 2u}) {
+        for (ray::RayPartition p : ray::allRayPartitions())
+            corpus.push_back(rayParts(ray::rayPartitionConfig(p, 8, 8), seed));
+        corpus.push_back(rayParts(ray::splitRayConfig(8, 8), seed));
     }
 
-    CompileCache fallback({dir.string()});
-    std::vector<std::int64_t> second =
-        driveAndDrain(fallback.get(prog), prog, "out");
-    EXPECT_EQ(fallback.stats().corruptFallbacks, 1u);
-    EXPECT_EQ(fallback.stats().compiles, 1u);
-    EXPECT_EQ(fallback.stats().diskHits, 0u);
-    EXPECT_EQ(second, first);
-
-    // The recompile healed the entry: one more cache instance now
-    // disk-hits it.
-    CompileCache healed({dir.string()});
-    EXPECT_EQ(driveAndDrain(healed.get(prog), prog, "out"), first);
-    EXPECT_EQ(healed.stats().diskHits, 1u);
-    EXPECT_EQ(healed.stats().compiles, 0u);
-    fs::remove_all(dir);
-}
-
-/**
- * Scratch-name uniqueness (the gencc satellite): two artifacts built
- * into ONE caller-provided directory get distinct file stems, and
- * destroying the first removes only its own files — the second's
- * shared object keeps working and is still on disk.
- */
-TEST(CompileCache, ArtifactsShareADirectoryWithoutColliding)
-{
-    REQUIRE_HOST_COMPILER();
-    ElabProgram prog = sequenceProgram();
-    fs::path dir = fs::temp_directory_path() /
-                   ("bcl_cache_test_" +
-                    std::to_string(::getpid()) + "_scratch");
-    fs::create_directories(dir);
-    GenccOptions opts;
-    opts.workDir = dir.string();
-
-    auto countSo = [&] {
-        int n = 0;
-        for (const auto &e : fs::directory_iterator(dir))
-            if (e.path().extension() == ".so")
-                n++;
-        return n;
+    struct Part
+    {
+        std::string name;
+        const ElabProgram *prog;
+        std::uint64_t identity;
     };
+    std::vector<Part> parts;
+    for (std::size_t i = 0; i < corpus.size(); i++) {
+        for (const PartitionPart &part : corpus[i].parts)
+            parts.push_back({std::to_string(i) + "/" + part.domain,
+                             &part.prog, programIdentity(part.prog)});
+    }
+    ASSERT_EQ(corpus.size(), 17u);
 
-    auto a = std::make_shared<const CompiledArtifact>(prog, opts);
-    auto b = std::make_shared<const CompiledArtifact>(prog, opts);
-    EXPECT_EQ(countSo(), 2) << "same directory, two distinct stems";
-
-    std::vector<std::int64_t> expect{0, 2, 4};
-    EXPECT_EQ(driveAndDrain(a, prog, "out"), expect);
-    a.reset();  // destroys artifact a, removes ITS files only
-    EXPECT_EQ(countSo(), 1)
-        << "destroying one artifact must not sweep the directory";
-    EXPECT_EQ(driveAndDrain(b, prog, "out"), expect);
-    b.reset();
-    EXPECT_EQ(countSo(), 0);
-    fs::remove_all(dir);
-}
-
-/**
- * Two-PROCESS contention on one shared disk cache directory. The
- * in-process promise map cannot arbitrate across processes, so the
- * disk layer itself must be concurrency-safe: each compile lands
- * under a process-unique temp stem and is published by an atomic
- * rename, so no process ever observes (or dlopens) a half-written
- * .cpp/.so and simultaneous publishers are harmless last-wins over
- * identical content. Pre-fix, both processes wrote the same
- * deterministic <key>.cpp/.so and could clobber each other mid-
- * compile.
- */
-TEST(CompileCache, TwoProcessesShareOneDiskDirSafely)
-{
-    REQUIRE_HOST_COMPILER();
-    ElabProgram prog = sequenceProgram();
-    const std::vector<std::int64_t> expected{0, 2, 4};
-    fs::path dir = fs::temp_directory_path() /
-                   ("bcl_cache_test_" +
-                    std::to_string(::getpid()) + "_2proc");
-    fs::create_directories(dir);
-
-    constexpr int kChildren = 2;
-    std::vector<pid_t> kids;
-    for (int i = 0; i < kChildren; i++) {
-        pid_t pid = ::fork();
-        ASSERT_GE(pid, 0);
-        if (pid == 0) {
-            // Child: cold cache over the shared dir, racing the
-            // parent and its sibling. Plain exit codes — gtest
-            // machinery must not run in the child.
-            int rc = 1;
-            try {
-                CompileCache cache({dir.string()});
-                rc = driveAndDrain(cache.get(prog), prog, "out") ==
-                             expected
-                         ? 0
-                         : 1;
-            } catch (...) {
-                rc = 2;
+    int equal_pairs = 0;
+    for (CppGenMode mode :
+         {CppGenMode::Naive, CppGenMode::Inlined, CppGenMode::Lifted}) {
+        std::vector<std::string> source;
+        for (const Part &p : parts)
+            source.push_back(generateCpp(*p.prog, "BclGenPartition", mode));
+        for (std::size_t i = 0; i < parts.size(); i++) {
+            for (std::size_t j = i + 1; j < parts.size(); j++) {
+                const bool same_source = source[i] == source[j];
+                equal_pairs += same_source;
+                EXPECT_EQ(parts[i].identity == parts[j].identity,
+                          same_source)
+                    << parts[i].name << " vs " << parts[j].name << " mode "
+                    << static_cast<int>(mode);
             }
-            ::_exit(rc);
         }
-        kids.push_back(pid);
     }
-
-    // Parent races them through its own cache instance.
-    CompileCache cache({dir.string()});
-    EXPECT_EQ(driveAndDrain(cache.get(prog), prog, "out"), expected);
-
-    for (pid_t pid : kids) {
-        int status = 0;
-        ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-        ASSERT_TRUE(WIFEXITED(status));
-        EXPECT_EQ(WEXITSTATUS(status), 0)
-            << "child " << pid
-            << " failed its concurrent compile/validate";
-    }
-
-    // The published entry exists under its final name, and no
-    // temp stems leaked.
-    GenccOptions opts;
-    const std::string key = compileCacheKey(prog, opts);
-    EXPECT_TRUE(fs::exists(dir / (key + ".so")));
-    for (const auto &entry : fs::directory_iterator(dir)) {
-        EXPECT_EQ(entry.path().filename().string().find(".tmp."),
-                  std::string::npos)
-            << "unpublished temp artifact leaked: " << entry.path();
-    }
-
-    // And the published entry is a valid disk hit for a fresh cache.
-    CompileCache warm({dir.string()});
-    EXPECT_EQ(driveAndDrain(warm.get(prog), prog, "out"), expected);
-    EXPECT_EQ(warm.stats().compiles, 0u);
-    EXPECT_EQ(warm.stats().diskHits, 1u);
-    fs::remove_all(dir);
+    EXPECT_GT(equal_pairs, 0) << "the corpus must exercise equal parts too";
 }
 
 } // namespace

@@ -1047,11 +1047,6 @@ TEST(CoSimTransport, ConfigNamingAbsentDomainIsRejected)
     PartitionResult parts = partitionProgram(elab, doms);
     {
         CosimConfig cfg;
-        cfg.kinds["HWX"] = DomainKind::Hardware;
-        EXPECT_THROW(CoSim cosim(parts, cfg), FatalError);
-    }
-    {
-        CosimConfig cfg;
         cfg.transports["HWX"] = TransportKind::SharedMem;
         EXPECT_THROW(CoSim cosim(parts, cfg), FatalError);
     }

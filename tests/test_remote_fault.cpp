@@ -8,9 +8,10 @@
  *   - a peer killed mid-epoch surfaces as ONE clean FatalError
  *     naming the domain and pid, bounded by the configured transport
  *     timeout — never a hang, never a second error;
- *   - an ABI or program-signature mismatch is refused during the
+ *   - an ABI or program-identity mismatch is refused during the
  *     handshake, before any payload flows (exercised through the
- *     RemoteOptions hello overrides);
+ *     RemoteOptions hello overrides, and by a partition host that
+ *     elaborated another ray scene);
  *   - in the serving layer, a Session whose remote partition dies
  *     fails alone: the pool drains, healthy neighbors complete with
  *     byte-identical outputs (PR 6's error-isolation contract,
@@ -25,6 +26,7 @@
 #include <chrono>
 #include <csignal>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <sys/types.h>
@@ -35,6 +37,10 @@
 #include "core/elaborate.hpp"
 #include "core/partition.hpp"
 #include "platform/cosim.hpp"
+#include "ray/bvh.hpp"
+#include "ray/partitions.hpp"
+#include "ray/scenegen.hpp"
+#include "ray/trace_bcl.hpp"
 #include "serve/pool.hpp"
 #include "vorbis/partitions.hpp"
 
@@ -177,7 +183,7 @@ TEST(RemoteFault, AbiMismatchIsRefusedBeforePayload)
     }
 }
 
-TEST(RemoteFault, ProgramSignatureMismatchIsRefusedBeforePayload)
+TEST(RemoteFault, ProgramIdentityMismatchIsRefusedBeforePayload)
 {
     Program p = makeEchoProgram();
     ElabProgram elab = elaborate(p);
@@ -197,7 +203,7 @@ TEST(RemoteFault, ProgramSignatureMismatchIsRefusedBeforePayload)
             const std::string msg = e.what();
             EXPECT_NE(msg.find("refused"), std::string::npos)
                 << transportName(kind) << ": " << msg;
-            EXPECT_NE(msg.find("signature"), std::string::npos)
+            EXPECT_NE(msg.find("identity"), std::string::npos)
                 << transportName(kind) << ": " << msg;
         }
     }
@@ -206,16 +212,72 @@ TEST(RemoteFault, ProgramSignatureMismatchIsRefusedBeforePayload)
 // The handshake hash covers what the partition computes, not only its
 // layout: two independent elaborations agree exactly when their rule
 // bodies do, so a peer running a different datapath is refused.
-TEST(RemoteFault, ProgramSignatureCoversRuleBodies)
+TEST(RemoteFault, ProgramIdentityCoversRuleBodies)
 {
-    auto signature = [](int scale) {
+    auto identity = [](int scale) {
         ElabProgram elab = elaborate(makeEchoProgram(scale));
         DomainAssignment doms = inferDomains(elab);
         PartitionResult parts = partitionProgram(elab, doms);
-        return programSignature(parts.part("HW").prog);
+        return programIdentity(parts.part("HW").prog);
     };
-    EXPECT_EQ(signature(2), signature(2));
-    EXPECT_NE(signature(2), signature(3));
+    EXPECT_EQ(identity(2), identity(2));
+    EXPECT_NE(identity(2), identity(3));
+}
+
+/** The HWT part of the ray split over a @p seed scene (8x8, 32
+ *  spheres): every seed gives the same prim types and widths, only
+ *  the scene ROM contents differ. */
+PartitionResult
+raySplitParts(std::uint64_t seed)
+{
+    std::vector<ray::Sphere> scene = ray::makeScene(32, seed);
+    Program prog = ray::makeRayProgram(ray::splitRayConfig(8, 8), scene,
+                                       ray::buildBvh(scene),
+                                       ray::makeCamera());
+    ElabProgram elab = elaborate(prog);
+    return partitionProgram(elab, inferDomains(elab));
+}
+
+/**
+ * A partition host serving scene B's HWT refuses a coordinator that
+ * elaborated scene A: the two programs differ only in Bram contents,
+ * which the identity covers, so the wrong pixels can never be
+ * rendered silently.
+ */
+TEST(RemoteFault, HostServingAnotherSceneRefusesTheCoordinator)
+{
+    if (!netTransportAvailable())
+        GTEST_SKIP() << "loopback TCP unavailable in this sandbox";
+    const PartitionResult scene_a = raySplitParts(1);
+    const PartitionResult scene_b = raySplitParts(2);
+
+    TcpListener listener;
+    ASSERT_TRUE(listener.open());
+    int host_rc = -1;
+    std::thread host([&] {
+        const int fd = listener.acceptWithin(10000);
+        if (fd < 0)
+            return;
+        TcpRemoteLink link(fd);
+        host_rc = servePartitionSlices(link, scene_b.part("HWT").prog,
+                                       10000);
+    });
+
+    RemoteOptions opts;
+    opts.traced = false;
+    try {
+        RemoteHwPartition proxy(scene_a.part("HWT").prog,
+                                ":" + std::to_string(listener.port()),
+                                "HWT", opts);
+        ADD_FAILURE() << "a host serving another scene accepted the "
+                         "coordinator";
+    } catch (const FatalError &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("refused"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("identity"), std::string::npos) << msg;
+    }
+    host.join();
+    EXPECT_EQ(host_rc, 3) << "the host must refuse during the handshake";
 }
 
 /**

@@ -5,26 +5,29 @@
  * coordinating co-simulation (CosimConfig::remoteEndpoints). This is
  * the exec'd counterpart of the fork-flavor remote transports — the
  * two processes share no memory, so agreement is established by the
- * handshake: the host computes its own program signature from the
+ * handshake: the host computes its own programIdentity() from the
  * workload it elaborated, and a coordinator that elaborated anything
- * else (different partitioning, scene size, stage domains) is
- * refused before any payload flows.
+ * else (different partitioning, scene, stage domains) is refused
+ * before any payload flows.
  *
- * Run: cosim_partition_host --workload vorbis_B --domain HW
- *          [--port 0] [--once]
+ * Run: cosim_partition_host --workload vorbis_B --domain HW [--once]
  *      cosim_partition_host --workload ray_split --domain HWT
  *          [--ray-size 32] [--ray-prims 1024] [--seed 12345]
  *
+ * Flags parse with bench/bench_flags.hpp: an unknown flag, a
+ * malformed value, a missing --workload or a workload/domain that
+ * does not exist prints the usage and exits 2.
  * Prints "LISTENING <port>" on stdout once bound; serves one
  * connection at a time until killed (or exactly one with --once).
  * Workload names match bench/executor_matrix: vorbis_<letter>,
  * vorbis_split, ray_<letter>, ray_split.
  */
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
+#include "../bench/bench_flags.hpp"
 #include "common/logging.hpp"
 #include "core/domains.hpp"
 #include "core/elaborate.hpp"
@@ -97,24 +100,6 @@ buildPartition(const std::string &workload, const std::string &domain,
           "ray_split)");
 }
 
-class HostLink final : public RemoteLink
-{
-  public:
-    explicit HostLink(int fd) : conn_(fd) {}
-    bool send(const Frame &f, int) override { return conn_.send(f); }
-    RecvStatus recv(Frame &out, int timeout_ms) override
-    {
-        return conn_.recv(out, timeout_ms);
-    }
-    const std::string &error() const override
-    {
-        return conn_.error();
-    }
-
-  private:
-    FrameConn conn_;
-};
-
 } // namespace
 
 int
@@ -122,54 +107,46 @@ main(int argc, char **argv)
 {
     std::string workload;
     std::string domain = "HW";
-    int port = 0;
     int ray_size = 32;
     int ray_prims = 1024;
     std::uint64_t seed = 12345;
     int timeout_ms = 30000;
     bool once = false;
-    for (int i = 1; i < argc; i++) {
-        if (std::strcmp(argv[i], "--workload") == 0 && i + 1 < argc)
-            workload = argv[++i];
-        else if (std::strcmp(argv[i], "--domain") == 0 && i + 1 < argc)
-            domain = argv[++i];
-        else if (std::strcmp(argv[i], "--port") == 0 && i + 1 < argc)
-            port = std::atoi(argv[++i]);
-        else if (std::strcmp(argv[i], "--ray-size") == 0 &&
-                 i + 1 < argc)
-            ray_size = std::atoi(argv[++i]);
-        else if (std::strcmp(argv[i], "--ray-prims") == 0 &&
-                 i + 1 < argc)
-            ray_prims = std::atoi(argv[++i]);
-        else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc)
-            seed = static_cast<std::uint64_t>(
-                std::strtoull(argv[++i], nullptr, 10));
-        else if (std::strcmp(argv[i], "--timeout-ms") == 0 &&
-                 i + 1 < argc)
-            timeout_ms = std::atoi(argv[++i]);
-        else if (std::strcmp(argv[i], "--once") == 0)
-            once = true;
-        else {
-            std::fprintf(stderr, "unknown flag %s\n", argv[i]);
-            return 64;
-        }
-    }
-    if (workload.empty()) {
-        std::fprintf(stderr,
-                     "usage: cosim_partition_host --workload NAME "
-                     "--domain DOM [--port 0] [--once]\n");
-        return 64;
-    }
-    (void)port;  // ephemeral only: the coordinator reads our stdout
+    bench::Flags flags("cosim_partition_host");
+    flags
+        .add("--workload", "NAME",
+             "vorbis_<letter>|vorbis_split|ray_<letter>|ray_split",
+             &workload)
+        .add("--domain", "DOM", "the hardware domain to serve", &domain)
+        .add("--ray-size", "N", "ray image width and height", &ray_size,
+             1)
+        .add("--ray-prims", "N", "spheres in the ray scene", &ray_prims,
+             1)
+        .add("--seed", "N", "ray scene seed",
+             [&seed](const char *v) {
+                 char *end = nullptr;
+                 errno = 0;
+                 seed = std::strtoull(v, &end, 10);
+                 return errno == 0 && end != v && *end == '\0';
+             })
+        .add("--timeout-ms", "MS", "accept and transport timeout",
+             &timeout_ms, 1)
+        .addSwitch("--once", "serve one connection, then exit", &once)
+        .parse(argc, argv);
+    if (workload.empty())
+        flags.fail("--workload is required");
 
-    ElabProgram part =
-        buildPartition(workload, domain, ray_size, ray_prims, seed);
-    std::printf("partition %s/%s: %zu prims, %zu rules, signature "
+    ElabProgram part;
+    try {
+        part = buildPartition(workload, domain, ray_size, ray_prims, seed);
+    } catch (const Error &err) {
+        flags.fail(err.what());
+    }
+    std::printf("partition %s/%s: %zu prims, %zu rules, identity "
                 "%016llx, ABI %d\n",
                 workload.c_str(), domain.c_str(), part.prims.size(),
                 part.rules.size(),
-                static_cast<unsigned long long>(
-                    programSignature(part)),
+                static_cast<unsigned long long>(programIdentity(part)),
                 kCppGenAbiVersion);
 
     TcpListener listener;
@@ -186,7 +163,7 @@ main(int argc, char **argv)
             std::fprintf(stderr, "accept timed out — exiting\n");
             return once ? 1 : 0;
         }
-        HostLink link(fd);
+        TcpRemoteLink link(fd);
         int rc = servePartitionSlices(link, part, timeout_ms);
         std::printf("connection closed (rc %d)\n", rc);
         std::fflush(stdout);
