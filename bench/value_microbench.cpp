@@ -13,12 +13,16 @@
  *     (a full FIFO's enq) sits below 1, 16 or 128 nested let-binders;
  *     each depth is its own entry (BM_GuardFailFireRule/let_depth:N)
  *     in the --benchmark_out JSON, with time per iteration = ns per
- *     failed attempt.
+ *     evaluated failed attempt; BM_GuardFailFireRule/memo_hit/
+ *     let_depth:128 times the same failure replayed from the memo.
  *
  * Wall clock is the figure of merit here; modeled work units are
  * covered by tests/test_work_accounting.cpp instead.
  */
 #include <benchmark/benchmark.h>
+
+#include <cstdint>
+#include <string>
 
 #include "core/builder.hpp"
 #include "core/elaborate.hpp"
@@ -182,18 +186,28 @@ BM_BramWriteTxn(benchmark::State &state)
         static_cast<double>(interp.stats().rulesAttempted);
 }
 
-/** A failed rule attempt: enq into a full FIFO below @p depth lets. */
+/**
+ * A failed rule attempt: enq into a full FIFO below `let_depth` lets.
+ * With @p replay false, every iteration first takes q writable (a
+ * mutable Store::at is a write), so the attempt is evaluated; with
+ * @p replay true, q is left alone and every attempt after the first
+ * is answered from the interpreter's failure memo.
+ */
 void
-BM_GuardFailFireRule(benchmark::State &state)
+guardFailFireRule(benchmark::State &state, bool replay)
 {
     const int depth = static_cast<int>(state.range(0));
     ModuleBuilder b("Top");
     b.addFifo("q", Type::bits(32), 1);
     b.addRule("fill", callA("q", "enq", {intE(32, 0)}));
-    ActPtr body = callA("q", "enq",
-                        {varE("x" + std::to_string(depth - 1))});
+    auto var = [](int i) {
+        std::string name = "x";
+        name += std::to_string(i);
+        return name;
+    };
+    ActPtr body = callA("q", "enq", {varE(var(depth - 1))});
     for (int i = depth - 1; i >= 0; i--)
-        body = letA("x" + std::to_string(i), intE(32, i), body);
+        body = letA(var(i), intE(32, i), body);
     b.addRule("deep", body);
     Program prog = ProgramBuilder().add(b.build()).setRoot("Top").build();
     ElabProgram elab = elaborate(prog);
@@ -203,12 +217,34 @@ BM_GuardFailFireRule(benchmark::State &state)
         state.SkipWithError("could not fill the FIFO");
         return;
     }
-    int rule = elab.ruleByName("deep");
+    const int rule = elab.ruleByName("deep");
+    const int q = elab.primByPath("q");
     interp.stats().clear();
-    for (auto _ : state)
+    const std::uint64_t replayed0 = interp.replayedAttempts();
+    for (auto _ : state) {
+        if (!replay)
+            benchmark::DoNotOptimize(&store.at(q));
         benchmark::DoNotOptimize(interp.fireRule(rule));
+    }
     if (interp.stats().guardFails != interp.stats().rulesAttempted)
         state.SkipWithError("an attempt did not fail");
+    const std::uint64_t replayed = interp.replayedAttempts() - replayed0;
+    if (replay ? replayed + 1 < interp.stats().rulesAttempted
+               : replayed != 0)
+        state.SkipWithError(replay ? "an attempt was evaluated"
+                                   : "an attempt was replayed");
+}
+
+void
+BM_GuardFailFireRule(benchmark::State &state)
+{
+    guardFailFireRule(state, false);
+}
+
+void
+BM_GuardFailMemoHit(benchmark::State &state)
+{
+    guardFailFireRule(state, true);
 }
 
 } // namespace
@@ -224,6 +260,10 @@ BENCHMARK(BM_GuardFailFireRule)
     ->ArgName("let_depth")
     ->Arg(1)
     ->Arg(16)
+    ->Arg(128);
+BENCHMARK(BM_GuardFailMemoHit)
+    ->Name("BM_GuardFailFireRule/memo_hit")
+    ->ArgName("let_depth")
     ->Arg(128);
 
 BENCHMARK_MAIN();

@@ -183,16 +183,19 @@ def run_platform_sweep(build_dir, frames):
     exe = os.path.join(build_dir, "platform_sweep")
     if not os.path.exists(exe):
         return None
-    configs = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "configs")
+    # Run from the repository root with a relative --configs, so the
+    # report names each config as "configs/<file>", not by a path of
+    # the machine that produced it.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as tmp:
         tmp_path = tmp.name
     try:
         try:
             subprocess.run(
-                [exe, "--frames", str(frames), "--configs", configs,
-                 "--json", tmp_path],
+                [os.path.abspath(exe), "--frames", str(frames),
+                 "--configs", "configs", "--json", tmp_path],
                 check=True,
+                cwd=root,
                 stdout=subprocess.DEVNULL,
             )
         except subprocess.CalledProcessError as err:

@@ -16,9 +16,10 @@
  *   cosim.fpga_cycles                    gauge
  *   cosim.sw_work                        gauge
  *   cosim.domain.<dom>.cycles            gauge
- *   cosim.domain.<dom>.rules_attempted   gauge (interpreted HW domains)
- *   cosim.domain.<dom>.guard_fails       gauge (interpreted HW domains)
- *   cosim.domain.<dom>.wasted_work       gauge (interpreted HW domains)
+ *   cosim.domain.<dom>.rules_attempted   gauge (interpreted domains)
+ *   cosim.domain.<dom>.guard_fails       gauge (interpreted domains)
+ *   cosim.domain.<dom>.wasted_work       gauge (interpreted domains)
+ *   cosim.domain.<dom>.replayed_attempts gauge (interpreted domains)
  *   cosim.channel.<chan>.messages        counter
  *   cosim.channel.<chan>.payload_words   counter
  *   cosim.channel.<chan>.stall_cycles    counter

@@ -1,6 +1,7 @@
 #include "platform/channel.hpp"
 
 #include <limits>
+#include <utility>
 
 #include "common/logging.hpp"
 #include "obs/trace.hpp"
@@ -39,7 +40,7 @@ ChannelTransport::ChannelTransport(const ChannelSpec &spec,
 int
 ChannelTransport::rxCreditsFree() const
 {
-    const PrimState &rx = rxStore.at(spec_.rxPrim);
+    const PrimState &rx = std::as_const(rxStore).at(spec_.rxPrim);
     return spec_.capacity - static_cast<int>(rx.queue.size()) -
            static_cast<int>(inFlight_.size());
 }
@@ -48,8 +49,10 @@ void
 ChannelTransport::pump(std::uint64_t now)
 {
     lastPumpTime = now;
-    PrimState &tx = txStore.at(spec_.txPrim);
-    while (!tx.queue.empty()) {
+    // Only a pickup writes the SyncTx slot: a stalled or idle pump
+    // reads it const, so it does not bump the producer's version
+    // (and invalidate its memoised guard failures) every cycle.
+    while (!std::as_const(txStore).at(spec_.txPrim).queue.empty()) {
         if (rxCreditsFree() <= 0) {
             // Consumer full: leave staged; producer back-pressure
             // propagates through the SyncTx guard. Accrue the
@@ -75,13 +78,14 @@ ChannelTransport::pump(std::uint64_t now)
             stats_.stallCycles += now - stalledSince_;
             stalled_ = false;
         }
-        Value msg = tx.queue.front();
+        ValueQueue &txq = txStore.at(spec_.txPrim).queue;
+        Value msg = txq.front();
         int words = spec_.payloadWords;
         std::uint64_t occupancy = bus.occupancyCycles(words);
         std::uint64_t start = link.acquire(now, occupancy);
         std::uint64_t arrive = start + occupancy + bus.requestLatency;
 
-        tx.queue.pop_front();
+        txq.pop_front();
         inFlight_.push_back({std::move(msg), arrive});
         stats_.messages++;
         stats_.payloadWords += static_cast<std::uint64_t>(words);
@@ -97,6 +101,10 @@ ChannelTransport::pump(std::uint64_t now)
 bool
 ChannelTransport::deliver(std::uint64_t now)
 {
+    // Take the SyncRx slot writable only when a message is due (a
+    // mutable access is a write; see Store).
+    if (inFlight_.empty() || inFlight_.front().deliverAt > now)
+        return false;
     PrimState &rx = rxStore.at(spec_.rxPrim);
     bool any = false;
     while (!inFlight_.empty() && inFlight_.front().deliverAt <= now) {
@@ -125,7 +133,7 @@ ChannelTransport::nextEventAt() const
     std::uint64_t next = inFlight_.empty()
                              ? std::numeric_limits<std::uint64_t>::max()
                              : inFlight_.front().deliverAt;
-    const PrimState &tx = txStore.at(spec_.txPrim);
+    const PrimState &tx = std::as_const(txStore).at(spec_.txPrim);
     if (!tx.queue.empty() && rxCreditsFree() > 0) {
         std::uint64_t pickup =
             lastPumpTime > link.freeTime() ? lastPumpTime
@@ -140,7 +148,7 @@ bool
 ChannelTransport::busy() const
 {
     return !inFlight_.empty() ||
-           !txStore.at(spec_.txPrim).queue.empty();
+           !std::as_const(txStore).at(spec_.txPrim).queue.empty();
 }
 
 } // namespace bcl

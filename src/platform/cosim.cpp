@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "common/logging.hpp"
 #include "obs/trace.hpp"
@@ -168,13 +169,14 @@ class MirrorSync
     in()
     {
         for (auto &rx : rx_) {
-            const auto &queue = mirror_.at(rx.prim).queue;
+            const auto &queue = std::as_const(mirror_).at(rx.prim).queue;
             while (rx.n < queue.size() &&
                    inst_.pushPrim(rx.prim, queue[rx.n]))
                 rx.n++;
         }
         for (auto &tx : tx_) {
-            const size_t backlog = mirror_.at(tx.prim).queue.size();
+            const size_t backlog =
+                std::as_const(mirror_).at(tx.prim).queue.size();
             if (backlog != tx.n) {
                 inst_.reservePrim(tx.prim, backlog);
                 tx.n = backlog;
@@ -191,19 +193,19 @@ class MirrorSync
             const size_t left = inst_.primSize(rx.prim);
             if (left > rx.n)
                 panic("cosim: compiled partition enqueued into SyncRx");
+            if (left == rx.n)
+                continue;
             mirror_.at(rx.prim).queue.pop_front(rx.n - left);
             rx.n = left;
         }
         Value v;
         for (const auto &tx : tx_) {
-            auto &queue = mirror_.at(tx.prim).queue;
             while (inst_.popPrim(tx.prim, v))
-                queue.push_back(std::move(v));
+                mirror_.at(tx.prim).queue.push_back(std::move(v));
         }
         for (int prim : dev_) {
-            auto &queue = mirror_.at(prim).queue;
             while (inst_.popDevice(prim, v))
-                queue.push_back(std::move(v));
+                mirror_.at(prim).queue.push_back(std::move(v));
         }
     }
 
@@ -263,7 +265,7 @@ class InterpretedSw final : public DomainExec, public SwPort
     }
 
     std::uint64_t work() const override { return I.stats().work; }
-    Store &store() override { return I.store(); }
+    const Store &store() const override { return I.store(); }
 
   private:
     Interp I;
@@ -310,7 +312,7 @@ class CompiledSw final : public DomainExec, public SwPort
     /** Compiled code models no work; drivers fall back to their own
      *  per-call estimate. */
     std::uint64_t work() const override { return 0; }
-    Store &store() override { return mirror_; }
+    const Store &store() const override { return mirror_; }
 
   private:
     CompiledPartition C;
@@ -490,13 +492,19 @@ CoSim::CoSim(const PartitionResult &parts, CosimConfig config)
         }
     }
 
+    auto store_of = [this](const std::string &dom) -> Store & {
+        const Domain *d = find(dom);
+        if (!d)
+            panic("channel endpoint in no domain '" + dom + "'");
+        return *d->store;
+    };
     for (const auto &chan : parts.channels) {
         // Each (from, to) pair gets the BusParams its topology rule
         // resolves to — heterogeneous platforms time each link
         // direction differently (resolution is total or fatal here,
         // before any cycle runs).
         transports.push_back(std::make_unique<ChannelTransport>(
-            chan, storeOf(chan.fromDomain), storeOf(chan.toDomain),
+            chan, store_of(chan.fromDomain), store_of(chan.toDomain),
             links[{chan.fromDomain, chan.toDomain}],
             cfg.platform.resolveLink(chan.fromDomain, chan.toDomain),
             cfg.trace));
@@ -539,8 +547,8 @@ CoSim::setDriver(const std::string &domain, SwDriver driver)
     panic("setDriver: no software domain '" + domain + "'");
 }
 
-Store &
-CoSim::storeOf(const std::string &domain)
+const Store &
+CoSim::storeOf(const std::string &domain) const
 {
     if (const Domain *d = find(domain))
         return *d->store;
@@ -636,6 +644,8 @@ CoSim::snapshotMetrics(obs::MetricsRegistry &reg) const
             .set(static_cast<double>(st.guardFails));
         reg.gauge(base + ".wasted_work")
             .set(static_cast<double>(st.wastedWork));
+        reg.gauge(base + ".replayed_attempts")
+            .set(static_cast<double>(I->replayedAttempts()));
     }
     for (const auto &t : transports) {
         snapshotChannelStats(reg,

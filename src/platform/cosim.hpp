@@ -250,8 +250,9 @@ class SwPort
      *  per-call estimate. */
     virtual std::uint64_t work() const = 0;
 
-    /** The domain's committed state (mirror Store when compiled). */
-    virtual Store &store() = 0;
+    /** The domain's committed state (mirror Store when compiled),
+     *  read-only: drivers change it through root methods. */
+    virtual const Store &store() const = 0;
 
 };
 
@@ -296,8 +297,10 @@ class CoSim
      */
     std::uint64_t run(const std::function<bool(CoSim &)> &done);
 
-    /** Store of a domain's partition. */
-    Store &storeOf(const std::string &domain);
+    /** Store of a domain's partition, read-only: outside the run
+     *  loop's own writers a mutable access would count as a write
+     *  and invalidate memoised guard failures (see Store). */
+    const Store &storeOf(const std::string &domain) const;
 
     /** Interpreter of an interpreted software domain. A compiled
      *  domain has none (panics): check swCompiled() first. */

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <thread>
+#include <utility>
 
 #include <signal.h>
 #include <sys/wait.h>
@@ -237,29 +238,23 @@ servePartitionSlices(RemoteLink &link, const ElabProgram &prog,
             bool active = !sim.idle();
             // Ship produced messages before the report so the
             // coordinator sees a complete slice at SliceDone.
-            for (int txid : txPrims) {
-                auto &q = store.at(txid).queue;
-                for (const Value &v : q) {
-                    Frame m;
-                    m.type = FrameType::Msg;
-                    m.channel = static_cast<std::uint32_t>(txid);
-                    m.payload = marshalValue(v);
-                    if (!link.send(m, timeout_ms))
-                        return 4;
+            // Reads stay const until there is something to pop: a
+            // mutable access is a write (see Store).
+            for (const std::vector<int> *ids : {&txPrims, &devPrims}) {
+                for (int id : *ids) {
+                    if (std::as_const(store).at(id).queue.empty())
+                        continue;
+                    auto &q = store.at(id).queue;
+                    for (const Value &v : q) {
+                        Frame m;
+                        m.type = FrameType::Msg;
+                        m.channel = static_cast<std::uint32_t>(id);
+                        m.payload = marshalValue(v);
+                        if (!link.send(m, timeout_ms))
+                            return 4;
+                    }
+                    q.pop_front(q.size());
                 }
-                q.pop_front(q.size());
-            }
-            for (int devid : devPrims) {
-                auto &q = store.at(devid).queue;
-                for (const Value &v : q) {
-                    Frame m;
-                    m.type = FrameType::Msg;
-                    m.channel = static_cast<std::uint32_t>(devid);
-                    m.payload = marshalValue(v);
-                    if (!link.send(m, timeout_ms))
-                        return 4;
-                }
-                q.pop_front(q.size());
             }
             const HwStats &hs = sim.stats();
             Frame doneF;
@@ -496,6 +491,8 @@ RemoteHwPartition::shipInputs(Store &mirror)
 {
     for (const auto &prim : prog_.prims) {
         if (prim.kind != "SyncRx")
+            continue;
+        if (std::as_const(mirror).at(prim.id).queue.empty())
             continue;
         auto &queue = mirror.at(prim.id).queue;
         for (const Value &v : queue) {

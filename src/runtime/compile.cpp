@@ -264,6 +264,7 @@ CompiledProgram::revalidate(const ElabProgram &prog)
     // hold pool indices into callee bodies, so per-entry patching
     // cannot be sound, and rebuilding from empty pools also keeps
     // repeated replacement from growing the pools without bound.
+    generation++;
     exprs.clear();
     acts.clear();
     kidPool.clear();

@@ -104,6 +104,9 @@ struct CompiledProgram
     std::vector<std::int32_t> kidPool;
     std::vector<RuleEntry> rules;
     std::vector<MethodEntry> methods;
+    /** Bumped whenever revalidate() rebuilds the pools, i.e. whenever
+     *  some body was replaced; Interp drops its failure memos then. */
+    std::uint64_t generation = 0;
 
     /**
      * Sweep every cached entry against the program's current body

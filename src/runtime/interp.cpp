@@ -1,5 +1,6 @@
 #include "runtime/interp.hpp"
 
+#include <algorithm>
 #include <memory>
 
 #include "common/logging.hpp"
@@ -603,21 +604,55 @@ Interp::Interp(const ElabProgram &program, Store &store)
 
 Interp::~Interp() = default;
 
+void
+Interp::revalidateMemos()
+{
+    if (memos_.size() == prog.rules.size() &&
+        memoGeneration_ == compiled_->generation && memoCosts_ == costs_)
+        return;
+    memos_.assign(prog.rules.size(), FailMemo{});
+    memoGeneration_ = compiled_->generation;
+    memoCosts_ = costs_;
+}
+
 bool
 Interp::fireRule(int rule_id)
 {
     if (rule_id < 0 || static_cast<size_t>(rule_id) >= prog.rules.size())
         panic("fireRule: bad rule id " + std::to_string(rule_id));
     std::int32_t root = compiled_->ruleRoot(prog, rule_id);
-    stats_.rulesAttempted++;
+    revalidateMemos();
+    FailMemo &memo = memos_[static_cast<size_t>(rule_id)];
+    if (memo.valid) {
+        bool same = std::all_of(
+            memo.reads.begin(), memo.reads.end(), [&](const auto &r) {
+                return store_.version(r.first) == r.second;
+            });
+        if (same) {
+            stats_ += memo.charged;
+            replayed_++;
+            return false;
+        }
+        memo.valid = false;
+    }
 
-    TxnFrame frame(store_);
+    const ExecStats before = stats_;
+    stats_.rulesAttempted++;
+    readLog_.clear();
+    TxnFrame frame(store_, &readLog_);
     InterpExec exec(*this, *compiled_);
     Env env;
     if (!exec.evalAction(root, env, frame)) {
         stats_.guardFails++;
         stats_.wastedWork += exec.localWork;
         stats_.work += costs_.perRollback;
+        // Nothing was written, so the versions now are the versions
+        // the attempt read.
+        memo.reads.clear();
+        for (int id : readLog_)
+            memo.reads.emplace_back(id, store_.version(id));
+        memo.charged = stats_ - before;
+        memo.valid = true;
         return false;
     }
     stats_.work += costs_.perCommitEntry * frame.writeCount();

@@ -32,6 +32,16 @@
  * failing one. GuardFail is thrown only at the callValueMethod()
  * boundary, to report an unready value method to the caller.
  *
+ * Failed rule attempts are memoised. Rules take no arguments, so a
+ * failed evaluation is a deterministic function of the store slots it
+ * read, the compiled bodies and the cost model. fireRule() records
+ * the slots a failure read with their write versions (Store), plus
+ * the exact ExecStats delta of that attempt; the next attempt whose
+ * recorded versions all still match adds that delta and returns
+ * false without evaluating. Modeled counters are therefore identical
+ * to evaluating every attempt; only replayedAttempts() tells the two
+ * apart. A fire, a replaced body or a cost-model change drops memos.
+ *
  * Contract: fireRule() is atomic — it either commits the rule's
  * whole effect to the store and returns true, or changes nothing and
  * returns false (guard failure). This all-or-nothing property is
@@ -44,6 +54,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/elaborate.hpp"
@@ -90,6 +101,8 @@ struct CostModel
      * exposed here so benches/tests can tighten it.
      */
     std::uint64_t loopIterBudget = 1u << 22;
+
+    bool operator==(const CostModel &) const = default;
 };
 
 /** Execution counters. */
@@ -108,6 +121,36 @@ struct ExecStats
     {
         *this = ExecStats{};
     }
+
+    ExecStats &
+    operator+=(const ExecStats &o)
+    {
+        work += o.work;
+        wastedWork += o.wastedWork;
+        rulesAttempted += o.rulesAttempted;
+        rulesFired += o.rulesFired;
+        guardFails += o.guardFails;
+        commits += o.commits;
+        shadowCopies += o.shadowCopies;
+        return *this;
+    }
+
+    /** Field-wise difference; @p o must be an earlier snapshot. */
+    ExecStats
+    operator-(const ExecStats &o) const
+    {
+        ExecStats d;
+        d.work = work - o.work;
+        d.wastedWork = wastedWork - o.wastedWork;
+        d.rulesAttempted = rulesAttempted - o.rulesAttempted;
+        d.rulesFired = rulesFired - o.rulesFired;
+        d.guardFails = guardFails - o.guardFails;
+        d.commits = commits - o.commits;
+        d.shadowCopies = shadowCopies - o.shadowCopies;
+        return d;
+    }
+
+    bool operator==(const ExecStats &) const = default;
 };
 
 /** Interpreter over one elaborated program and its store. */
@@ -122,7 +165,9 @@ class Interp
     ~Interp();
 
     /**
-     * Attempt rule @p rule_id as a transaction.
+     * Attempt rule @p rule_id as a transaction. A failure whose
+     * inputs are unchanged since the rule last failed is replayed
+     * from the memo (see the file comment).
      * @return true when the rule fired (committed); false on guard
      * failure (all effects rolled back).
      */
@@ -153,9 +198,28 @@ class Interp
 
     /** The committed store. */
     Store &store() { return store_; }
+    const Store &store() const { return store_; }
+
+    /** Failed rule attempts answered from the memo instead of being
+     *  evaluated (a subset of stats().rulesAttempted; mechanism only,
+     *  not cleared with stats()). */
+    std::uint64_t replayedAttempts() const { return replayed_; }
 
   private:
     friend class InterpExec;
+
+    /** What the last failed attempt of one rule read and charged. */
+    struct FailMemo
+    {
+        std::vector<std::pair<int, std::uint64_t>> reads;  ///< id, version
+        ExecStats charged;
+        bool valid = false;
+    };
+
+    /** Drop every memo when a body was recompiled, the rule count
+     *  changed or costs_ differs from what the memos were charged
+     *  under. */
+    void revalidateMemos();
 
     const ElabProgram &prog;
     Store &store_;
@@ -164,6 +228,12 @@ class Interp
     /** Lazily-built compiled rule/method bodies (see compile.hpp).
      *  Pure mechanism: does not affect modeled work. */
     std::unique_ptr<CompiledProgram> compiled_;
+
+    std::vector<FailMemo> memos_;  ///< by rule id
+    CostModel memoCosts_;          ///< costs_ the memos were charged under
+    std::uint64_t memoGeneration_ = 0;  ///< compiled_->generation, likewise
+    std::vector<int> readLog_;     ///< scratch: one attempt's reads
+    std::uint64_t replayed_ = 0;
 };
 
 } // namespace bcl

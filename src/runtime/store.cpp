@@ -1,5 +1,8 @@
 #include "runtime/store.hpp"
 
+#include <algorithm>
+#include <utility>
+
 #include "common/logging.hpp"
 #include "runtime/primitives.hpp"
 
@@ -10,6 +13,7 @@ Store::Store(const ElabProgram &prog)
     states.reserve(prog.prims.size());
     for (const auto &prim : prog.prims)
         states.push_back(initPrimState(prim));
+    versions.assign(states.size(), 0);
 }
 
 PrimState &
@@ -17,6 +21,7 @@ Store::at(int id)
 {
     if (id < 0 || static_cast<size_t>(id) >= states.size())
         panic("store index out of range: " + std::to_string(id));
+    versions[static_cast<size_t>(id)]++;
     return states[static_cast<size_t>(id)];
 }
 
@@ -28,7 +33,10 @@ Store::at(int id) const
     return states[static_cast<size_t>(id)];
 }
 
-TxnFrame::TxnFrame(Store &base_store) : base(&base_store) {}
+TxnFrame::TxnFrame(Store &base_store, std::vector<int> *read_log)
+    : base(&base_store), reads(read_log)
+{
+}
 
 TxnFrame::TxnFrame(TxnFrame &parent_frame) : parent(&parent_frame) {}
 
@@ -39,8 +47,13 @@ TxnFrame::get(int id) const
         auto it = f->delta.find(id);
         if (it != f->delta.end())
             return it->second;
-        if (f->base)
-            return f->base->at(id);
+        if (f->base) {
+            if (f->reads &&
+                std::find(f->reads->begin(), f->reads->end(), id) ==
+                    f->reads->end())
+                f->reads->push_back(id);
+            return std::as_const(*f->base).at(id);
+        }
     }
     panic("TxnFrame chain has no base store");
 }

@@ -173,19 +173,45 @@ struct PrimState
     bool operator==(const PrimState &o) const = default;
 };
 
-/** The committed state of a whole elaborated program. */
+/**
+ * The committed state of a whole elaborated program.
+ *
+ * Every slot carries a write version, and a mutable at() IS a write:
+ * it bumps the slot's version whether or not the caller then changes
+ * anything. That is what lets Interp::fireRule skip re-evaluating a
+ * failed rule whose inputs kept their versions, with every writer
+ * (commits, channel deliveries, mirror syncs, drivers, tests) covered
+ * by construction. The flip side: code that only reads must use the
+ * const overload (std::as_const), or it invalidates those memos for
+ * nothing. Versions are per Store and per slot, so stores of
+ * different sessions never share a counter.
+ */
 class Store
 {
   public:
     /** Build initial state for @p prog (all prims at reset values). */
     explicit Store(const ElabProgram &prog);
 
+    Store(const Store &) = default;
+    /** Wholesale replacement would bypass the per-slot versions an
+     *  interpreter bound to this store relies on; write slots. */
+    Store &operator=(const Store &) = delete;
+
+    /** Writable slot @p id; bumps its version (see class comment). */
     PrimState &at(int id);
     const PrimState &at(int id) const;
     size_t size() const { return states.size(); }
 
+    /** Write version of slot @p id (unchecked; @p id must be valid). */
+    std::uint64_t
+    version(int id) const
+    {
+        return versions[static_cast<size_t>(id)];
+    }
+
   private:
     std::vector<PrimState> states;
+    std::vector<std::uint64_t> versions;
 };
 
 /**
@@ -199,8 +225,13 @@ class Store
 class TxnFrame
 {
   public:
-    /** Top-level frame over the committed store. */
-    explicit TxnFrame(Store &base);
+    /**
+     * Top-level frame over the committed store. With @p read_log, the
+     * frame appends to it every prim id it reads from the store (each
+     * once, in first-read order, through get() and getForWrite()'s
+     * fall-through), reads by nested frames included.
+     */
+    explicit TxnFrame(Store &base, std::vector<int> *read_log = nullptr);
 
     /** Nested frame (parallel branch / localGuard body). */
     explicit TxnFrame(TxnFrame &parent);
@@ -244,6 +275,7 @@ class TxnFrame
   private:
     Store *base = nullptr;
     TxnFrame *parent = nullptr;
+    std::vector<int> *reads = nullptr;  ///< top-level frame only
     std::unordered_map<int, PrimState> delta;
 };
 

@@ -278,8 +278,11 @@ TEST(InterpGuardFail, InnermostFailureBelow128NestedLets)
     auto deep = [] {
         ActPtr body = callA("q", "enq", {varE("x127")});
         for (int i = 127; i >= 0; i--) {
-            body = letA("x" + std::to_string(i), intE(32, 1000 + i),
-                        std::move(body));
+            // Built with += : GCC 12 -O2 reports a false -Wrestrict on
+            // "x" + std::to_string(i).
+            std::string name = "x";
+            name += std::to_string(i);
+            body = letA(name, intE(32, 1000 + i), std::move(body));
         }
         return body;
     };
